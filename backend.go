@@ -12,71 +12,29 @@ import (
 	"punt/internal/core"
 )
 
-// Engine selects a synthesis engine by well-known identity.  The three
-// builtin engines are registered Backends under their String() names; a
-// fourth value, Portfolio, selects the racing scheduler that runs several
-// backends concurrently and keeps the first success.
-type Engine int
-
-// The builtin engines plus the portfolio scheduler.
+// The engine names: the builtin registered backends plus the portfolio
+// scheduler.  They are untyped string constants, so WithEngine(Explicit) and
+// WithEngine("explicit") are the same selection; any name registered with
+// Register is selectable the same way.
 const (
 	// Unfolding is the paper's PUNT flow: covers are derived from the
 	// STG-unfolding segment without building the state graph (the default).
-	Unfolding Engine = iota
+	Unfolding = "unfolding"
 	// Explicit is the "SIS-like" baseline: explicit state-graph enumeration.
-	Explicit
+	Explicit = "explicit"
 	// Symbolic is the "Petrify-like" baseline: BDD-based reachability.
-	Symbolic
-	// Portfolio races a set of backends concurrently under a shared context
-	// and returns the first success; see WithPortfolio.
-	Portfolio
+	Symbolic = "symbolic"
 	// Decompose is the compositional backend: it factors the specification
 	// into independent (or articulated) components, synthesizes each
 	// concurrently through an inner engine, and recombines the covers; an
 	// indivisible specification falls through to the inner engine unchanged.
 	// See WithDecomposeInner.
-	Decompose
+	Decompose = "decompose"
+	// Portfolio is not a backend but the scheduler that races several
+	// backends concurrently and returns the first success; see
+	// WithContenders.  The name is reserved in the registry.
+	Portfolio = "portfolio"
 )
-
-// String names the engine.  Unknown values render as "engine(N)" so that a
-// bad value is visible instead of being silently read as the default;
-// ParseEngine is the inverse for the well-known names.
-func (e Engine) String() string {
-	switch e {
-	case Unfolding:
-		return "unfolding"
-	case Explicit:
-		return "explicit"
-	case Symbolic:
-		return "symbolic"
-	case Portfolio:
-		return "portfolio"
-	case Decompose:
-		return "decompose"
-	default:
-		return fmt.Sprintf("engine(%d)", int(e))
-	}
-}
-
-// ParseEngine resolves the command-line names of the engines — "unfolding",
-// "explicit", "symbolic" or "portfolio" — mirroring gates.ParseArchitecture.
-// ParseEngine(e.String()) round-trips for every declared Engine value.
-func ParseEngine(name string) (Engine, error) {
-	switch name {
-	case "unfolding":
-		return Unfolding, nil
-	case "explicit":
-		return Explicit, nil
-	case "symbolic":
-		return Symbolic, nil
-	case "portfolio":
-		return Portfolio, nil
-	case "decompose":
-		return Decompose, nil
-	default:
-		return Unfolding, fmt.Errorf("%w %q (want unfolding, explicit, symbolic, decompose or portfolio)", ErrUnknownEngine, name)
-	}
-}
 
 // BackendConfig is the engine-agnostic part of a Synthesizer's configuration,
 // handed to the selected Backend on every run.  Backends read the budgets
@@ -133,7 +91,7 @@ var (
 	backends   = make(map[string]Backend)
 )
 
-// Register makes a synthesis backend selectable by name through WithBackend
+// Register makes a synthesis backend selectable by name through WithEngine
 // (and through the portfolio scheduler's WithContenders).  It panics when the
 // name is empty, reserved ("portfolio") or already taken, mirroring the
 // database/sql driver registry contract.
@@ -145,7 +103,7 @@ func Register(b Backend) {
 	if name == "" {
 		panic("punt: Register with an empty backend name")
 	}
-	if name == "portfolio" {
+	if name == Portfolio {
 		panic(`punt: backend name "portfolio" is reserved for the scheduler`)
 	}
 	backendsMu.Lock()
@@ -168,13 +126,14 @@ func Backends() []string {
 	return names
 }
 
-// lookupBackend resolves a registered backend by name.
+// lookupBackend resolves a registered backend by name; an unknown name
+// fails with ErrUnknownEngine, listing the registered ones.
 func lookupBackend(name string) (Backend, error) {
 	backendsMu.RLock()
 	b, ok := backends[name]
 	backendsMu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("punt: no backend %q registered (have %v)", name, Backends())
+		return nil, fmt.Errorf("%w %q: no backend registered under that name (have %v)", ErrUnknownEngine, name, Backends())
 	}
 	return b, nil
 }
@@ -238,14 +197,18 @@ func runBackend(ctx context.Context, b Backend, spec *Spec, cfg BackendConfig) (
 	// The dispatcher stamps the selected backend's identity even on results a
 	// delegating backend obtained elsewhere: Stats.Backend answers "which
 	// registered backend did I select", not "which engine ran underneath".
+	// A backend that leaves Stats.Engine empty ran itself.
 	res.Stats.Backend = b.Name()
+	if res.Stats.Engine == "" {
+		res.Stats.Engine = b.Name()
+	}
 	return res, nil
 }
 
 // unfoldingBackend is the paper's PUNT flow behind the Backend interface.
 type unfoldingBackend struct{}
 
-func (unfoldingBackend) Name() string { return "unfolding" }
+func (unfoldingBackend) Name() string { return Unfolding }
 
 func (unfoldingBackend) Synthesize(ctx context.Context, spec *Spec, cfg BackendConfig) (*Result, error) {
 	copts := core.Options{Mode: cfg.Mode, Arch: cfg.Arch, MaxEvents: cfg.MaxEvents, Workers: cfg.Workers}
@@ -280,7 +243,7 @@ func (unfoldingBackend) Synthesize(ctx context.Context, spec *Spec, cfg BackendC
 // Backend interface.
 type explicitBackend struct{}
 
-func (explicitBackend) Name() string { return "explicit" }
+func (explicitBackend) Name() string { return Explicit }
 
 func (explicitBackend) Synthesize(ctx context.Context, spec *Spec, cfg BackendConfig) (*Result, error) {
 	eng := &baseline.ExplicitSynthesizer{
@@ -302,7 +265,7 @@ func (explicitBackend) Synthesize(ctx context.Context, spec *Spec, cfg BackendCo
 // interface.
 type symbolicBackend struct{}
 
-func (symbolicBackend) Name() string { return "symbolic" }
+func (symbolicBackend) Name() string { return Symbolic }
 
 func (symbolicBackend) Synthesize(ctx context.Context, spec *Spec, cfg BackendConfig) (*Result, error) {
 	eng := &baseline.SymbolicSynthesizer{

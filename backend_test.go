@@ -3,6 +3,7 @@ package punt_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -66,18 +67,33 @@ func init() {
 	punt.Register(panicBackend{})
 }
 
+// TestEngineStringParseRoundTrip pins the engine vocabulary: every engine
+// name but the scheduler's is a registered backend, and selecting a name
+// reports that same name back in Stats.Engine and Stats.Backend.
 func TestEngineStringParseRoundTrip(t *testing.T) {
-	for _, e := range []punt.Engine{punt.Unfolding, punt.Explicit, punt.Symbolic, punt.Portfolio} {
-		back, err := punt.ParseEngine(e.String())
-		if err != nil {
-			t.Errorf("ParseEngine(%q): %v", e.String(), err)
+	for _, name := range []string{punt.Unfolding, punt.Explicit, punt.Symbolic, punt.Decompose} {
+		if !slices.Contains(punt.Backends(), name) {
+			t.Errorf("%q is not registered: %v", name, punt.Backends())
+			continue
 		}
-		if back != e {
-			t.Errorf("ParseEngine(%q) = %v, want %v", e.String(), back, e)
+		res, err := punt.New(punt.WithEngine(name)).Synthesize(context.Background(), punt.Fig1())
+		if err != nil {
+			t.Fatalf("WithEngine(%q): %v", name, err)
+		}
+		// Figure 1 is indivisible, so decompose reports its inner engine.
+		engine := name
+		if name == punt.Decompose {
+			engine = punt.Unfolding
+		}
+		if res.Stats.Engine != engine || res.Stats.Backend != name {
+			t.Errorf("WithEngine(%q): stats identity = (%q, %q)", name, res.Stats.Engine, res.Stats.Backend)
 		}
 	}
-	// ParseArchitecture round-trips the same way: the two parsers are
-	// symmetric halves of the CLI vocabulary.
+	if slices.Contains(punt.Backends(), punt.Portfolio) {
+		t.Errorf("%q must not be a registered backend", punt.Portfolio)
+	}
+	// ParseArchitecture round-trips its rendering: the other half of the
+	// CLI vocabulary.
 	for _, a := range []gates.Architecture{gates.ComplexGate, gates.StandardC, gates.RSLatch} {
 		back, err := gates.ParseArchitecture(a.String())
 		if err != nil || back != a {
@@ -87,21 +103,13 @@ func TestEngineStringParseRoundTrip(t *testing.T) {
 }
 
 func TestUnknownEngineIsNotSilentlyUnfolding(t *testing.T) {
-	bogus := punt.Engine(42)
-	if s := bogus.String(); s == "unfolding" || !strings.Contains(s, "42") {
-		t.Errorf("Engine(42).String() = %q: unknown values must be visible, not read as the default", s)
-	}
-	if _, err := punt.ParseEngine("engine(42)"); err == nil {
-		t.Error("ParseEngine must reject the unknown-value rendering")
-	}
-	if _, err := punt.ParseEngine("quantum"); err == nil {
-		t.Error("ParseEngine must reject unknown names")
-	}
-	// Dispatching a bad Engine value fails loudly instead of falling back to
-	// the unfolding flow.
-	_, err := punt.New(punt.WithEngine(bogus)).Synthesize(context.Background(), punt.Fig1())
-	if err == nil || !strings.Contains(err.Error(), "no backend") {
-		t.Errorf("Synthesize with Engine(42) = %v, want a no-backend diagnostic", err)
+	// Dispatching an unknown name fails loudly instead of falling back to
+	// the unfolding flow, on the single path and as a portfolio contender.
+	for _, opt := range []punt.Option{punt.WithEngine("quantum"), punt.WithContenders(punt.Unfolding, "quantum")} {
+		_, err := punt.New(opt).Synthesize(context.Background(), punt.Fig1())
+		if !errors.Is(err, punt.ErrUnknownEngine) || !strings.Contains(err.Error(), "no backend") {
+			t.Errorf("Synthesize with an unknown engine = %v, want an ErrUnknownEngine diagnostic", err)
+		}
 	}
 }
 
@@ -148,7 +156,7 @@ func (reservedBackend) Synthesize(ctx context.Context, spec *punt.Spec, cfg punt
 }
 
 func TestCustomBackendThroughDispatch(t *testing.T) {
-	res, err := punt.New(punt.WithBackend("test-fake")).Synthesize(context.Background(), punt.Fig1())
+	res, err := punt.New(punt.WithEngine("test-fake")).Synthesize(context.Background(), punt.Fig1())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +175,8 @@ func TestCustomBackendThroughDispatch(t *testing.T) {
 	}
 }
 
-func TestWithBackendUnknownName(t *testing.T) {
-	_, err := punt.New(punt.WithBackend("warp-drive")).Synthesize(context.Background(), punt.Fig1())
+func TestWithEngineUnknownName(t *testing.T) {
+	_, err := punt.New(punt.WithEngine("warp-drive")).Synthesize(context.Background(), punt.Fig1())
 	var diag *punt.Diagnostic
 	if !errors.As(err, &diag) {
 		t.Fatalf("unknown backend error is not a *Diagnostic: %v", err)
@@ -178,25 +186,28 @@ func TestWithBackendUnknownName(t *testing.T) {
 	}
 }
 
-// TestDispatchMatchesLegacySelection pins the refactor: WithEngine and the
-// WithBaseline synonym produce identical implementations for every builtin
-// engine.
+// TestDispatchMatchesLegacySelection pins the two remaining selectors to one
+// another: WithEngine(name) and a one-contender WithContenders(name)
+// portfolio produce identical implementations for every builtin engine, and
+// both report the engine's registry name in Stats.
 func TestDispatchMatchesLegacySelection(t *testing.T) {
 	spec := punt.MullerPipeline(4)
-	for _, e := range []punt.Engine{punt.Unfolding, punt.Explicit, punt.Symbolic} {
+	for _, e := range []string{punt.Unfolding, punt.Explicit, punt.Symbolic} {
 		viaEngine, err := punt.New(punt.WithEngine(e)).Synthesize(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("WithEngine(%v): %v", e, err)
 		}
-		viaBaseline, err := punt.New(punt.WithBaseline(e)).Synthesize(context.Background(), spec)
+		viaPortfolio, err := punt.New(punt.WithContenders(e)).Synthesize(context.Background(), spec)
 		if err != nil {
-			t.Fatalf("WithBaseline(%v): %v", e, err)
+			t.Fatalf("WithContenders(%v): %v", e, err)
 		}
-		if viaEngine.Eqn() != viaBaseline.Eqn() || viaEngine.Verilog() != viaBaseline.Verilog() {
-			t.Errorf("%v: WithEngine and WithBaseline disagree", e)
+		if viaEngine.Eqn() != viaPortfolio.Eqn() || viaEngine.Verilog() != viaPortfolio.Verilog() {
+			t.Errorf("%v: WithEngine and WithContenders disagree", e)
 		}
-		if viaEngine.Stats.Engine != e || viaEngine.Stats.Backend != e.String() {
-			t.Errorf("%v: stats identity = (%v, %q)", e, viaEngine.Stats.Engine, viaEngine.Stats.Backend)
+		for _, st := range []punt.Stats{viaEngine.Stats, viaPortfolio.Stats} {
+			if st.Engine != e || st.Backend != e {
+				t.Errorf("%v: stats identity = (%v, %q)", e, st.Engine, st.Backend)
+			}
 		}
 	}
 }

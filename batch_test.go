@@ -43,8 +43,8 @@ func TestSynthesizeCancellation(t *testing.T) {
 func TestSynthesizePreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, engine := range []punt.Engine{punt.Unfolding, punt.Explicit, punt.Symbolic} {
-		_, err := punt.New(punt.WithBaseline(engine)).Synthesize(ctx, punt.MullerPipelineWithSignals(50))
+	for _, engine := range []string{punt.Unfolding, punt.Explicit, punt.Symbolic} {
+		_, err := punt.New(punt.WithEngine(engine)).Synthesize(ctx, punt.MullerPipelineWithSignals(50))
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%v: err = %v, want context.Canceled", engine, err)
 		}

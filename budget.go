@@ -46,7 +46,7 @@ type FallbackStep struct {
 	Name string
 	// Options is the configuration delta: typically WithMode(Approximate),
 	// a lower WithMaxEvents/WithMaxStates, or an alternate WithEngine/
-	// WithBackend.  Nested WithFallback options are ignored.
+	// WithContenders.  Nested WithFallback options are ignored.
 	Options []Option
 }
 
@@ -67,7 +67,7 @@ func Fallback(name string, opts ...Option) FallbackStep {
 // semi-modularity violations, the caller's own cancellation) never trigger
 // the ladder.
 func WithFallback(steps ...FallbackStep) Option {
-	return func(c *config) { c.fallback = append(c.fallback[:0], steps...) }
+	return func(c *config) { c.fallback = append([]FallbackStep(nil), steps...) }
 }
 
 // Attempt records one rung of a Synthesize call's attempt ladder: which

@@ -115,7 +115,7 @@ func init() {
 
 func TestMemoryBudgetTrips(t *testing.T) {
 	defer faultinject.LeakCheck(t)()
-	s := punt.New(punt.WithBackend("test-alloc"), punt.WithMemoryBudget(8<<20))
+	s := punt.New(punt.WithEngine("test-alloc"), punt.WithMemoryBudget(8<<20))
 	_, err := s.Synthesize(context.Background(), punt.Fig1())
 	if !errors.Is(err, punt.ErrBudget) {
 		t.Fatalf("err = %v, want errors.Is(err, ErrBudget)", err)
@@ -174,9 +174,9 @@ func TestFallbackEachAttemptGetsFreshDeadline(t *testing.T) {
 	// deadline ends it.  Fallback: the real flow.  The fallback attempt must
 	// run under a fresh deadline, not the primary's exhausted one.
 	s := punt.New(
-		punt.WithBackend("test-sleeper"),
+		punt.WithEngine("test-sleeper"),
 		punt.WithDeadline(100*time.Millisecond),
-		punt.WithFallback(punt.Fallback("real", punt.WithBackend("unfolding"))),
+		punt.WithFallback(punt.Fallback("real", punt.WithEngine("unfolding"))),
 	)
 	res, err := s.Synthesize(context.Background(), punt.Fig1())
 	if err != nil {
@@ -239,7 +239,7 @@ func TestCallerCancellationNotRetried(t *testing.T) {
 // not just under Batch or the portfolio — must surface as a structured
 // KindPanic diagnostic instead of crashing the process.
 func TestPlainSynthesizePanicIsDiagnostic(t *testing.T) {
-	res, err := punt.New(punt.WithBackend("test-panic")).Synthesize(context.Background(), punt.Fig1())
+	res, err := punt.New(punt.WithEngine("test-panic")).Synthesize(context.Background(), punt.Fig1())
 	if err == nil {
 		t.Fatalf("panicking backend returned a result: %v", res)
 	}
@@ -266,8 +266,8 @@ func TestPanicDuringFallbackLadder(t *testing.T) {
 	// A panicking rung is not retryable — the failure is structural, and the
 	// diagnostic carries the ladder so far.
 	s := punt.New(
-		punt.WithBackend("test-panic"),
-		punt.WithFallback(punt.Fallback("still-panics", punt.WithBackend("test-panic"))),
+		punt.WithEngine("test-panic"),
+		punt.WithFallback(punt.Fallback("still-panics", punt.WithEngine("test-panic"))),
 	)
 	_, err := s.Synthesize(context.Background(), punt.Fig1())
 	var d *punt.Diagnostic
@@ -308,7 +308,7 @@ func init() {
 // must never be returned, and must never poison the cache.
 func TestExpiredContextResultNotCachedOrReturned(t *testing.T) {
 	cache := punt.NewLRU(0)
-	s := punt.New(punt.WithBackend("test-late"), punt.WithCache(cache), punt.WithDeadline(30*time.Millisecond))
+	s := punt.New(punt.WithEngine("test-late"), punt.WithCache(cache), punt.WithDeadline(30*time.Millisecond))
 	res, err := s.Synthesize(context.Background(), punt.Fig1())
 	if err == nil {
 		t.Fatalf("late result under an expired budget was returned: %v", res)
@@ -323,7 +323,7 @@ func TestExpiredContextResultNotCachedOrReturned(t *testing.T) {
 	// Same poisoning guard for the caller's own cancellation.
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(20 * time.Millisecond); cancel() }()
-	s2 := punt.New(punt.WithBackend("test-late"), punt.WithCache(cache))
+	s2 := punt.New(punt.WithEngine("test-late"), punt.WithCache(cache))
 	if res, err := s2.Synthesize(ctx, punt.Fig1()); err == nil {
 		t.Fatalf("late result under a cancelled context was returned: %v", res)
 	} else if !errors.Is(err, context.Canceled) {

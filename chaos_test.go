@@ -63,7 +63,7 @@ func TestChaosSweep(t *testing.T) {
 
 	specs := []*punt.Spec{punt.Fig1(), punt.Handshake(), punt.MullerPipeline(4)}
 	cache := &chaosCache{inner: punt.NewLRU(0)}
-	engines := []punt.Engine{punt.Unfolding, punt.Explicit, punt.Symbolic}
+	engines := []string{punt.Unfolding, punt.Explicit, punt.Symbolic}
 
 	for seed := 0; seed < chaosRuns; seed++ {
 		inj := faultinject.Schedule(int64(seed), faultinject.AllOps, 1+seed%3, 2)
@@ -157,7 +157,7 @@ func checkChaosOutcome(t *testing.T, seed int, res *punt.Result, err error) {
 // never crash, never wedge.
 func TestChaosPanicSchedules(t *testing.T) {
 	defer faultinject.LeakCheck(t)()
-	engineFor := map[string]punt.Engine{
+	engineFor := map[string]string{
 		faultinject.OpUnfoldPop:        punt.Unfolding,
 		faultinject.OpCoreCovers:       punt.Unfolding,
 		faultinject.OpStategraphExpand: punt.Explicit,

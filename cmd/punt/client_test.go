@@ -119,3 +119,34 @@ func TestServerModeExitCodes(t *testing.T) {
 		}
 	})
 }
+
+// TestServerModeParity pins -max-states to one meaning on both paths: it
+// bounds the explicit engine's enumeration and the verification locally
+// exactly as it does on the daemon, so a local run and a -server run of the
+// same flags exit with the same status and print the same bytes — also when
+// the daemon's cache already holds the implementation from a request that
+// did not verify.
+func TestServerModeParity(t *testing.T) {
+	ts := startDaemon(t)
+	for _, tc := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-engine", "explicit", "-max-states", "3"}, 1},
+		{[]string{"-engine", "explicit", "-max-states", "8"}, 0},
+		{[]string{"-engine", "explicit", "-max-states", "8", "-verify"}, 0},
+		{[]string{"-max-states", "2"}, 0},
+		{[]string{"-max-states", "2", "-verify"}, 3},
+	} {
+		args := append(tc.args, "../../testdata/fig1.g")
+		code, stdout, stderr := runCmd(t, args, "")
+		rcode, rstdout, rstderr := runCmd(t, append([]string{"-server", ts.URL}, args...), "")
+		if code != rcode || stdout != rstdout || stderr != rstderr {
+			t.Errorf("%v: local (%d, %q, %q) != remote (%d, %q, %q)",
+				tc.args, code, stdout, stderr, rcode, rstdout, rstderr)
+		}
+		if code != tc.code {
+			t.Errorf("%v: exit %d, want %d; stderr: %s", tc.args, code, tc.code, stderr)
+		}
+	}
+}

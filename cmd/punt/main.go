@@ -1,25 +1,34 @@
 // Command punt synthesises a speed-independent circuit from an STG
-// specification (.g file) using the unfolding-based method of the paper: the
-// STG-unfolding segment is built, partitioned into slices, and approximated
-// covers are derived and refined for every output signal.
+// specification (.g file).  By default it uses the unfolding-based method of
+// the paper: the STG-unfolding segment is built, partitioned into slices,
+// and approximated covers are derived and refined for every output signal.
 //
 // Usage:
 //
 //	punt [-engine unfolding|explicit|symbolic|decompose|portfolio] [-exact]
 //	     [-arch complex-gate|standard-c|rs-latch] [-verilog] [-stats]
 //	     [-verify] [-cache] [-resolve-csc] [-max-csc-signals N]
+//	     [-max-events N] [-max-states N] [-max-nodes N]
 //	     [-deadline D] [-mem-budget BYTES] [-fallback] [-server URL]
 //	     file.g [file2.g ...]
 //
 // With "-" as a file name the STG is read from standard input.
 //
-// With -engine the synthesis backend is selected: the default unfolding flow,
-// one of the state-graph baselines, the compositional decompose backend that
-// splits the STG into independent components and synthesizes them in
-// parallel, or the portfolio scheduler that races the monolithic engines and
-// keeps the first success.  An unknown engine (or architecture) name is a
-// usage error and exits with status 2.  A specification the decompose engine
-// cannot split falls through to the inner engine unchanged.
+// With -engine the synthesis backend is selected by its registry name: the
+// default unfolding flow, the state-graph baselines (explicit enumeration,
+// "SIS-like", and symbolic BDD reachability, "Petrify-like"), the
+// compositional decompose backend that splits the STG into independent
+// components and synthesizes them in parallel, or the portfolio scheduler
+// that races the three monolithic engines and keeps the first success.  An
+// unknown engine (or architecture) name is a usage error and exits with
+// status 2.  A specification the decompose engine cannot split falls
+// through to the inner engine unchanged.
+//
+// -max-events bounds the unfolding segment, -max-nodes the symbolic engine's
+// BDD, and -max-states every explicit state space of the run: the explicit
+// engine's enumeration, the CSC resolver's and the closed-loop
+// verification's.  Exceeding a bound fails the synthesis with status 1 (or
+// the verification with status 3).
 //
 // With -resolve-csc a specification rejected for a Complete State Coding
 // conflict is repaired automatically: internal state signals (csc0, csc1, …)
@@ -45,15 +54,15 @@
 // verification, 4 budget exhaustion).  -verify is evaluated by the daemon;
 // -cache is ignored, since the daemon maintains the shared result store.
 //
-// With -deadline (a duration, e.g. 500ms) and -mem-budget (bytes) each
-// synthesis attempt runs under a resource watchdog; an attempt that exhausts
-// its budget exits with status 4 — distinct from every other failure — and
-// the budget diagnostic (elapsed time, partial segment/state-space size) is
-// printed on standard error.  With -fallback a budget- or limit-exhausted
-// synthesis is retried through a built-in degradation ladder (approximate
-// mode, then the unfolding engine with a reduced segment bound); a degraded
-// result still exits 0 and the attempt breakdown is reported on standard
-// error.
+// With -deadline (a duration, e.g. 500ms, rounded up to whole milliseconds)
+// and -mem-budget (bytes) each synthesis attempt runs under a resource
+// watchdog; an attempt that exhausts its budget exits with status 4 —
+// distinct from every other failure — and the budget diagnostic (elapsed
+// time, partial segment/state-space size) is printed on standard error.
+// With -fallback a budget- or limit-exhausted synthesis is retried through a
+// built-in degradation ladder (approximate mode, then the unfolding engine
+// with a reduced segment bound); a degraded result still exits 0 and the
+// attempt breakdown is reported on standard error.
 package main
 
 import (
@@ -69,7 +78,6 @@ import (
 	"strings"
 
 	"punt"
-	"punt/gates"
 	"punt/server"
 )
 
@@ -82,20 +90,13 @@ func main() {
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("punt", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	engineName := fs.String("engine", "unfolding", "synthesis engine: unfolding, explicit, symbolic, decompose or portfolio")
-	exact := fs.Bool("exact", false, "derive exact covers by slice enumeration instead of approximation")
-	archName := fs.String("arch", "complex-gate", "implementation architecture: complex-gate, standard-c or rs-latch")
+	// The synthesis configuration is the daemon's request vocabulary: the
+	// local run applies it through req.Options, -server posts it as is.
+	var req server.Request
+	req.RegisterFlags(fs)
 	verilog := fs.Bool("verilog", false, "emit a behavioural Verilog module instead of boolean equations")
 	stats := fs.Bool("stats", false, "print the synthesis time breakdown (UnfTim/SynTim/EspTim)")
-	maxEvents := fs.Int("max-events", 0, "abort if the unfolding segment exceeds this many events (0 = default)")
-	doVerify := fs.Bool("verify", false, "verify the implementation with the closed-loop simulation; exit 3 on failure")
-	maxStates := fs.Int("max-states", 0, "abort verification beyond this many composed states per cluster (0 = default)")
 	useCache := fs.Bool("cache", false, "share a content-addressed result cache across the given files")
-	resolveCSC := fs.Bool("resolve-csc", false, "repair CSC conflicts by inserting internal state signals")
-	maxCSCSignals := fs.Int("max-csc-signals", 0, "bound on inserted CSC signals with -resolve-csc (0 = default)")
-	deadline := fs.Duration("deadline", 0, "per-attempt wall-clock budget (0 = none); exhaustion exits with status 4")
-	memBudget := fs.Int64("mem-budget", 0, "per-attempt heap-growth budget in bytes (0 = none); exhaustion exits with status 4")
-	fallback := fs.Bool("fallback", false, "degrade through cheaper configurations when a resource budget is exhausted")
 	serverURL := fs.String("server", "", "synthesize on a puntd daemon at this base URL instead of in-process")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -108,46 +109,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	// Bad -engine and -arch values are usage errors (exit 2), symmetric with
-	// unknown flags: ParseEngine and ParseArchitecture both reject instead of
-	// silently defaulting.
-	engine, err := punt.ParseEngine(*engineName)
+	// unknown flags, on the local and the -server path alike.
+	opts, err := req.Options()
 	if err != nil {
 		return usage(fs, stderr, err)
-	}
-	arch, err := gates.ParseArchitecture(*archName)
-	if err != nil {
-		return usage(fs, stderr, err)
-	}
-
-	opts := []punt.Option{
-		punt.WithEngine(engine),
-		punt.WithArch(arch),
-		punt.WithMaxEvents(*maxEvents),
-	}
-	if *exact {
-		opts = append(opts, punt.WithMode(punt.Exact))
 	}
 	if *useCache {
 		opts = append(opts, punt.WithCache(punt.NewLRU(0)))
-	}
-	if *resolveCSC {
-		opts = append(opts, punt.WithResolveCSC(*maxCSCSignals))
-	}
-	if *deadline > 0 {
-		opts = append(opts, punt.WithDeadline(*deadline))
-	}
-	if *memBudget > 0 {
-		opts = append(opts, punt.WithMemoryBudget(*memBudget))
-	}
-	if *fallback {
-		// The built-in ladder: first retry with the cheap approximate covers,
-		// then fall back to the unfolding engine with a tight segment bound —
-		// the paper's own degradation strategy (a truncated segment in place
-		// of the full state space).
-		opts = append(opts, punt.WithFallback(
-			punt.Fallback("approximate", punt.WithMode(punt.Approximate)),
-			punt.Fallback("unfolding-small", punt.WithEngine(punt.Unfolding), punt.WithMaxEvents(10000)),
-		))
 	}
 	synth := punt.New(opts...)
 
@@ -157,39 +125,24 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			return fail(stderr, err)
 		}
 		var res *punt.Result
+		var rep *punt.VerifyReport
+		code := 0
 		if *serverURL != "" {
-			req := server.Request{
-				Spec:          spec.Text(),
-				Engine:        *engineName,
-				Arch:          *archName,
-				Exact:         *exact,
-				MaxEvents:     *maxEvents,
-				MaxStates:     *maxStates,
-				ResolveCSC:    *resolveCSC,
-				MaxCSCSignals: *maxCSCSignals,
-				DeadlineMS:    deadline.Milliseconds(),
-				MemBudget:     *memBudget,
-				Fallback:      *fallback,
-				Verify:        *doVerify,
-			}
-			var code int
-			res, code, err = remoteSynthesize(*serverURL, req)
-			if err != nil {
-				fmt.Fprintln(stderr, "punt:", err)
-				return code
-			}
+			remote := req
+			remote.Spec = spec.Text()
+			res, code, err = remoteSynthesize(*serverURL, remote)
 		} else {
-			res, err = synth.Synthesize(context.Background(), spec)
+			// The daemon's own synthesize-and-verify step and exit-code
+			// mapping: 1 synthesis failure, 3 failed verification, 4 budget
+			// exhaustion (the diagnostic carries the partial progress).
+			res, rep, err = req.Synthesize(context.Background(), synth, spec)
 			if err != nil {
-				if errors.Is(err, punt.ErrBudget) {
-					// Exit 4: the resource budget ran out, as opposed to a
-					// property of the specification (1).  The diagnostic
-					// carries the attempt's partial progress.
-					fmt.Fprintln(stderr, "punt:", err)
-					return 4
-				}
-				return fail(stderr, err)
+				code = server.ExitCode(err)
 			}
+		}
+		if err != nil {
+			fmt.Fprintln(stderr, "punt:", err)
+			return code
 		}
 		if *stats {
 			fmt.Fprintf(stderr, "%s\n", &res.Stats)
@@ -207,23 +160,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "punt:   %s\n", line)
 			}
 		}
-		// A cached result was already verified when it entered the cache
-		// earlier in this invocation (the cache is per-run, so every entry
-		// went through this same loop), and a resolver-repaired result was
-		// already closed-loop-verified against the repaired specification
-		// inside Synthesize: skip the expensive re-verification of an
-		// identical implementation in both cases.
-		if *doVerify && *serverURL == "" && !res.Stats.Cached && !res.Resolved() {
-			rep, err := punt.Verify(context.Background(), res.Spec, res, punt.WithMaxStates(*maxStates))
-			if err != nil {
-				// Exit 3: the implementation failed (or could not complete)
-				// verification, as opposed to synthesis failure (1).
-				fmt.Fprintln(stderr, "punt:", err)
-				return 3
-			}
-			if *stats {
-				fmt.Fprintf(stderr, "%s\n", rep)
-			}
+		if rep != nil && *stats {
+			fmt.Fprintf(stderr, "%s\n", rep)
 		}
 		out := res.Eqn()
 		if *verilog {

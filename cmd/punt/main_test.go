@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 )
@@ -331,5 +332,88 @@ func TestOutputWriteFailureExitsNonZero(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "writing output") {
 		t.Errorf("stderr should report the output failure: %s", errb.String())
+	}
+}
+
+// fig1Verilog is the Figure 1 module every engine emits with -verilog.
+const fig1Verilog = `// Generated by punt: 2 literals
+module paper_fig1 (a, c, b);
+  input a, c;
+  output b;
+  assign b = (a) | (c);
+endmodule
+`
+
+// TestBaselineEngines drives the state-graph baselines (explicit
+// enumeration, "SIS-like", and symbolic BDD reachability, "Petrify-like")
+// through -engine: their goldens, their resource bounds and their exit
+// statuses.
+func TestBaselineEngines(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		broken bool // stdout fails every write
+		code   int
+		stdout string   // exact standard output
+		stderr []string // substrings of standard error
+	}{
+		{name: "explicit golden", args: []string{"-engine", "explicit", "../../testdata/fig1.g"}, stdout: fig1Eqn},
+		{
+			// Figure 1 has 8 reachable states; the stats line must carry the
+			// engine name and the state count.
+			name:   "symbolic golden with stats",
+			args:   []string{"-engine", "symbolic", "-stats", "../../testdata/fig1.g"},
+			stdout: fig1Eqn,
+			stderr: []string{"engine=symbolic", "states=8"},
+		},
+		{name: "explicit verilog", args: []string{"-engine", "explicit", "-verilog", "../../testdata/fig1.g"}, stdout: fig1Verilog},
+		{name: "symbolic verilog", args: []string{"-engine", "symbolic", "-verilog", "../../testdata/fig1.g"}, stdout: fig1Verilog},
+		{name: "explicit CSC conflict exits 1", args: []string{"-engine", "explicit", "../../testdata/csc.g"}, code: 1, stderr: []string{"CSC"}},
+		{name: "symbolic CSC conflict exits 1", args: []string{"-engine", "symbolic", "../../testdata/csc.g"}, code: 1, stderr: []string{"CSC"}},
+		{
+			name:   "state limit exits 1",
+			args:   []string{"-engine", "explicit", "-max-states", "3", "../../testdata/fig1.g"},
+			code:   1,
+			stderr: []string{"state graph larger than 3 states"},
+		},
+		{
+			name:   "node limit exits 1",
+			args:   []string{"-engine", "symbolic", "-max-nodes", "5", "../../testdata/fig1.g"},
+			code:   1,
+			stderr: []string{"BDD grew beyond 5 nodes"},
+		},
+		{
+			name:   "deadline exits 4",
+			args:   []string{"-engine", "explicit", "-deadline", "50ms", "../../testdata/pipeline24.g"},
+			code:   4,
+			stderr: []string{"budget exhausted"},
+		},
+		{
+			name:   "output write failure exits 1",
+			args:   []string{"-engine", "explicit", "../../testdata/fig1.g"},
+			broken: true,
+			code:   1,
+			stderr: []string{"writing output"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			var stdout io.Writer = &out
+			if tc.broken {
+				stdout = brokenWriter{}
+			}
+			code := run(tc.args, strings.NewReader(""), stdout, &errb)
+			if code != tc.code {
+				t.Fatalf("exit = %d, want %d; stderr: %s", code, tc.code, errb.String())
+			}
+			if got := out.String(); got != tc.stdout {
+				t.Errorf("stdout = %q, want %q", got, tc.stdout)
+			}
+			for _, want := range tc.stderr {
+				if !strings.Contains(errb.String(), want) {
+					t.Errorf("stderr missing %q: %s", want, errb.String())
+				}
+			}
+		})
 	}
 }

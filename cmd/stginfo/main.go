@@ -8,9 +8,15 @@
 // output signals whose excitation disagrees, and a shortest witness firing
 // sequence to each of the two states.
 //
+// With -dump it prints the STG-unfolding segment itself instead of the
+// report: every event with its binary code, preset, postset and cut-off
+// status, mirroring the figures of the paper.  A segment that cannot be
+// built (an unsafe net, an inconsistent state assignment, more than
+// -max-events events) exits with status 1.
+//
 // Usage:
 //
-//	stginfo [-max-states N] [-max-conflicts N] file.g
+//	stginfo [-max-states N] [-max-conflicts N] [-max-events N] [-dump] file.g
 package main
 
 import (
@@ -35,6 +41,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	maxStates := fs.Int("max-states", 1000000, "abort state graph construction beyond this many states")
 	maxConflicts := fs.Int("max-conflicts", 8, "print at most this many CSC conflicts in detail")
+	maxEvents := fs.Int("max-events", 0, "abort if the unfolding segment exceeds this many events (0 = default)")
+	dump := fs.Bool("dump", false, "print the unfolding segment instead of the report")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -52,6 +60,16 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 1
 	}
 	ctx := context.Background()
+	if *dump {
+		seg, err := punt.Unfold(ctx, spec, punt.WithMaxEvents(*maxEvents))
+		if err != nil {
+			fmt.Fprintln(stderr, "stginfo:", err)
+			return 1
+		}
+		out := &errWriter{w: stdout}
+		fmt.Fprint(out, seg.Dump())
+		return finish(out, stderr)
+	}
 	// The report on stdout is the product of the run: latch the first write
 	// failure so a closed pipe or full disk fails the command instead of
 	// truncating the analysis silently under exit 0.
@@ -76,7 +94,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(out, "decomposition: indivisible")
 	}
 
-	seg, err := punt.Unfold(ctx, spec)
+	seg, err := punt.Unfold(ctx, spec, punt.WithMaxEvents(*maxEvents))
 	if err != nil {
 		fmt.Fprintf(out, "unfolding: failed: %v\n", err)
 	} else {

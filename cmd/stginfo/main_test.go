@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 )
@@ -116,5 +119,70 @@ func TestOutputWriteFailureExitsNonZero(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "writing output") {
 		t.Errorf("stderr should report the output failure: %s", errb.String())
+	}
+}
+
+// fig1Dump is the Figure 1 segment as -dump prints it.
+const fig1Dump = `unfolding of "paper-fig1": 8 events (2 cut-offs), 12 conditions
+  ⊥ -> {p1:c0}
+  a+:e1  code=100  {p1:c0} -> {p2:c1,p3:c2}
+  c+:e2  code=010  {p1:c0} -> {p4:c3}
+  b+/2:e3  code=101  {p2:c1} -> {p5:c4}
+  c+/2:e4  code=110  {p3:c2} -> {p6:c5,p8:c6}
+  b+:e5  code=011  {p4:c3} -> {p7:c7,p8:c8}
+  c-:e6  code=001  {p7:c7,p8:c8} -> {p9:c9}
+  a-:e7 [cutoff]  code=011  {p5:c4,p6:c5} -> {p7:c10}
+  b-:e8 [cutoff]  code=000  {p9:c9} -> {p1:c11}
+`
+
+// TestDump pins -dump: the segment of every test specification, byte for
+// byte (by SHA-256 beyond Figure 1), and its exit statuses.
+func TestDump(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		broken bool // stdout fails every write
+		code   int
+		stdout string // exact standard output, or its SHA-256 in hex
+		stderr string // substring of standard error
+	}{
+		{name: "fig1", args: []string{"-dump", "../../testdata/fig1.g"}, stdout: fig1Dump},
+		{name: "csc", args: []string{"-dump", "../../testdata/csc.g"},
+			stdout: "4053cbebc777c3e0ca47e7def74df646ee8100825e7add21d977a169bc53c545"},
+		{name: "nonsm", args: []string{"-dump", "../../testdata/nonsm.g"},
+			stdout: "fc1c12f580806631ae84cf51c5c7aaf0155c70e5297e81a46e90f90f502b5da6"},
+		{name: "pipeline24", args: []string{"-dump", "../../testdata/pipeline24.g"},
+			stdout: "375e04e2ee8028b3ac71662d541e99d2e94662225a90fc28a96c51d88cadb7db"},
+		{name: "twoloops", args: []string{"-dump", "../../testdata/twoloops.g"},
+			stdout: "e903144337026c856c52d36ac7e141b3e00f679f793219d759dc1efc355b250f"},
+		{name: "event limit exits 1", args: []string{"-dump", "-max-events", "3", "../../testdata/fig1.g"},
+			code: 1, stderr: "event limit exceeded (4 events, limit 3)"},
+		{name: "usage exits 2", args: []string{"-dump"}, code: 2, stderr: "usage:"},
+		{name: "missing file exits 1", args: []string{"-dump", "no-such-file.g"}, code: 1, stderr: "no-such-file.g"},
+		{name: "output write failure exits 1", args: []string{"-dump", "../../testdata/fig1.g"},
+			broken: true, code: 1, stderr: "writing output"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			var stdout io.Writer = &out
+			if tc.broken {
+				stdout = brokenWriter{}
+			}
+			code := run(tc.args, strings.NewReader(""), stdout, &errb)
+			if code != tc.code {
+				t.Fatalf("exit = %d, want %d; stderr: %s", code, tc.code, errb.String())
+			}
+			got := out.String()
+			if len(tc.stdout) == sha256.Size*2 {
+				sum := sha256.Sum256(out.Bytes())
+				got = hex.EncodeToString(sum[:])
+			}
+			if got != tc.stdout {
+				t.Errorf("stdout = %q, want %q", got, tc.stdout)
+			}
+			if !strings.Contains(errb.String(), tc.stderr) {
+				t.Errorf("stderr missing %q: %s", tc.stderr, errb.String())
+			}
+		})
 	}
 }

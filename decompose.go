@@ -34,14 +34,14 @@ import (
 // output is byte-identical to running the inner engine directly.
 type decomposeBackend struct{}
 
-func (decomposeBackend) Name() string { return "decompose" }
+func (decomposeBackend) Name() string { return Decompose }
 
 func (d decomposeBackend) Synthesize(ctx context.Context, spec *Spec, cfg BackendConfig) (*Result, error) {
 	innerName := cfg.Inner
 	if innerName == "" {
-		innerName = Unfolding.String()
+		innerName = Unfolding
 	}
-	if innerName == "decompose" || innerName == "portfolio" {
+	if innerName == Decompose || innerName == Portfolio {
 		return nil, diagnose("synthesize", spec.Name(),
 			fmt.Errorf("decompose cannot use %q as its inner engine", innerName))
 	}

@@ -46,8 +46,8 @@ var (
 	// The cache layers treat it as a miss; remote clients see a decode
 	// failure they can match with errors.Is.
 	ErrFormat = errors.New("punt: malformed result document")
-	// ErrUnknownEngine: an engine name did not parse (ParseEngine); the CLIs
-	// render it as a usage error.
+	// ErrUnknownEngine: an engine name is neither a registered backend nor
+	// "portfolio"; the CLI and the daemon render it as a usage error.
 	ErrUnknownEngine = errors.New("punt: unknown engine")
 )
 

@@ -35,10 +35,13 @@
 // re-runs the paper's evaluation.
 //
 // The engine layer is open: synthesis engines are Backend implementations in
-// a package-level registry (Register, Backends, WithBackend), the builtin
-// four included, and Synthesize is a thin dispatch over it.  Three composable
-// subsystems build on the registry.  The portfolio scheduler
-// (WithEngine(Portfolio), WithPortfolio, WithContenders) races backends
+// a package-level registry (Register, Backends), the builtin four included,
+// and Synthesize is a thin dispatch over it.  An engine is selected by its
+// registry name alone — WithEngine(name), where the Unfolding, Explicit,
+// Symbolic, Decompose and Portfolio constants are those names — and an
+// unknown name fails with ErrUnknownEngine.  Three composable subsystems
+// build on the registry.  The portfolio scheduler (WithEngine(Portfolio),
+// WithContenders) races backends
 // concurrently under a shared context, returns the first success, cancels
 // the losers promptly and records every contender's outcome in
 // Stats.Contenders, with Progress.Engine attributing interleaved progress.

@@ -47,7 +47,7 @@ func main() {
 	if *withBaseline {
 		start = time.Now()
 		resB, err := punt.New(
-			punt.WithBaseline(punt.Explicit),
+			punt.WithEngine(punt.Explicit),
 			punt.WithMaxStates(*stateLimit),
 		).Synthesize(ctx, punt.MullerPipeline(*stages))
 		switch {

@@ -105,8 +105,8 @@ func TestCSCDiagnosticAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []punt.Engine{punt.Unfolding, punt.Explicit, punt.Symbolic} {
-		_, err := punt.New(punt.WithBaseline(engine)).Synthesize(context.Background(), spec)
+	for _, engine := range []string{punt.Unfolding, punt.Explicit, punt.Symbolic} {
+		_, err := punt.New(punt.WithEngine(engine)).Synthesize(context.Background(), spec)
 		if !errors.Is(err, punt.ErrCSC) {
 			t.Errorf("%v: errors.Is(ErrCSC) = false for %v", engine, err)
 		}
@@ -159,8 +159,8 @@ b- a+ b+
 func TestBaselinesMatchUnfoldingLiterals(t *testing.T) {
 	spec := punt.MullerPipeline(4)
 	var literals []int
-	for _, engine := range []punt.Engine{punt.Unfolding, punt.Explicit, punt.Symbolic} {
-		res, err := punt.New(punt.WithBaseline(engine)).Synthesize(context.Background(), spec)
+	for _, engine := range []string{punt.Unfolding, punt.Explicit, punt.Symbolic} {
+		res, err := punt.New(punt.WithEngine(engine)).Synthesize(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%v: %v", engine, err)
 		}
@@ -215,10 +215,10 @@ func TestProgressCallback(t *testing.T) {
 	}
 
 	// The baselines deliver progress through the same option.
-	for _, engine := range []punt.Engine{punt.Explicit, punt.Symbolic} {
+	for _, engine := range []string{punt.Explicit, punt.Symbolic} {
 		var built, covered bool
 		_, err := punt.New(
-			punt.WithBaseline(engine),
+			punt.WithEngine(engine),
 			punt.WithProgress(func(p punt.Progress) {
 				switch p.Stage {
 				case "build":

@@ -184,7 +184,7 @@ func (u *Unfolding) String() string {
 }
 
 // Dump renders the full segment in a readable multi-line format (used by the
-// unfdump tool and in debugging).
+// stginfo -dump command and in debugging).
 func (u *Unfolding) Dump() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s\n", u.String())

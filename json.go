@@ -112,31 +112,6 @@ func DecodeResult(data []byte) (*Result, error) {
 	return res, nil
 }
 
-// MarshalJSON renders the engine by its String() name; the wire format never
-// depends on the numeric constant order.
-func (e Engine) MarshalJSON() ([]byte, error) {
-	switch e {
-	case Unfolding, Explicit, Symbolic, Portfolio:
-		return json.Marshal(e.String())
-	default:
-		return nil, fmt.Errorf("%w %d: not a marshalable value", ErrUnknownEngine, int(e))
-	}
-}
-
-// UnmarshalJSON parses the engine name written by MarshalJSON.
-func (e *Engine) UnmarshalJSON(data []byte) error {
-	var name string
-	if err := json.Unmarshal(data, &name); err != nil {
-		return err
-	}
-	parsed, err := ParseEngine(name)
-	if err != nil {
-		return err
-	}
-	*e = parsed
-	return nil
-}
-
 // contenderWire is the serialized shape of a portfolio Contender; the error
 // travels as its rendered message.
 type contenderWire struct {

@@ -19,25 +19,32 @@ import (
 func TestResultJSONRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
+		file string // specification; empty = Figure 1
 		opts []Option
 	}{
 		{name: "unfolding"},
 		{name: "explicit", opts: []Option{WithEngine(Explicit)}},
 		{name: "standard-c", opts: []Option{WithArch(gates.StandardC)}},
-		{name: "resolved", opts: []Option{WithResolveCSC(0)}},
+		{name: "resolved", file: "testdata/csc.g", opts: []Option{WithResolveCSC(0)}},
+		// A specification decompose actually factors: the result carries
+		// the decompose engine and the per-component breakdown.
+		{name: "decomposed", file: "testdata/twoloops.g", opts: []Option{WithEngine(Decompose)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := Fig1()
-			if tc.name == "resolved" {
+			if tc.file != "" {
 				var err error
-				spec, err = LoadFile("testdata/csc.g")
+				spec, err = LoadFile(tc.file)
 				if err != nil {
-					t.Fatalf("load csc.g: %v", err)
+					t.Fatalf("load %s: %v", tc.file, err)
 				}
 			}
 			res, err := New(tc.opts...).Synthesize(context.Background(), spec)
 			if err != nil {
 				t.Fatalf("synthesize: %v", err)
+			}
+			if tc.name == "decomposed" && !res.Decomposed() {
+				t.Fatal("twoloops was not factored")
 			}
 			blob, err := EncodeResult(res)
 			if err != nil {
@@ -56,6 +63,10 @@ func TestResultJSONRoundTrip(t *testing.T) {
 			if got, want := back.Stats.Engine, res.Stats.Engine; got != want {
 				t.Errorf("engine changed: got %v want %v", got, want)
 			}
+			if back.Decomposed() != res.Decomposed() || len(back.Stats.Components) != len(res.Stats.Components) {
+				t.Errorf("decomposition changed: got %v/%d want %v/%d", back.Decomposed(),
+					len(back.Stats.Components), res.Decomposed(), len(res.Stats.Components))
+			}
 			if back.Resolved() != res.Resolved() {
 				t.Errorf("Resolved() changed: got %v want %v", back.Resolved(), res.Resolved())
 			}
@@ -67,6 +78,37 @@ func TestResultJSONRoundTrip(t *testing.T) {
 				t.Errorf("marshal → unmarshal → marshal is not byte-stable:\n first %s\nsecond %s", blob, again)
 			}
 		})
+	}
+}
+
+// legacyResultDoc is a result document written before engines were named by
+// registry string alone (Figure 1 through the explicit engine).  Disk stores
+// filled by earlier daemons hold documents of exactly this shape.
+const legacyResultDoc = `{"format":1,"spec":".model paper-fig1\n.inputs a c\n.outputs b\n.graph\na+ p2 p3\nb+ p7 p8\nb+/2 p5\nc+ p4\nc+/2 p6 p8\na- p7\nb- p1\nc- p9\np1 a+ c+\np2 b+/2\np3 c+/2\np4 b+\np5 a-\np6 a-\np7 c-\np8 c-\np9 b-\n.marking { p1 }\n.initial_state 000\n.end\n","spec_hash":"0702e02073331f278dcbbce2ac17abeb08848ba0838b990a4ee15d30251712e0","impl":{"name":"paper-fig1","signals":["a","b","c"],"gates":[{"signal":"b","arch":"complex-gate","cover":{"vars":3,"cubes":["1--","--1"]}}]},"stats":{"engine":"explicit","backend":"explicit","unf_time_ns":69629,"syn_time_ns":3763,"esp_time_ns":11994,"total_ns":90249,"states":8,"attempts":[{"backend":"explicit","outcome":"ok","elapsed_ns":98853}]}}`
+
+// TestLegacyResultDocDecodes proves existing stores stay readable: the old
+// document decodes, keeps its engine identity, and re-encodes byte-identically.
+func TestLegacyResultDocDecodes(t *testing.T) {
+	res, err := DecodeResult([]byte(legacyResultDoc))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if res.Stats.Engine != Explicit || res.Stats.Backend != Explicit || res.Stats.States != 8 {
+		t.Errorf("stats = %+v, want the explicit engine over 8 states", res.Stats)
+	}
+	want, err := New(WithEngine(Explicit)).Synthesize(context.Background(), Fig1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Eqn() != want.Eqn() {
+		t.Errorf("decoded implementation:\n%s\nwant:\n%s", res.Eqn(), want.Eqn())
+	}
+	again, err := EncodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != legacyResultDoc {
+		t.Errorf("re-encoding changed the document:\n got %s\nwant %s", again, legacyResultDoc)
 	}
 }
 

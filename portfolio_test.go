@@ -45,7 +45,7 @@ func TestPortfolioDeterministicWinnerWithOneWorker(t *testing.T) {
 	// order, so the first capable engine always wins.
 	for run := 0; run < 3; run++ {
 		res, err := punt.New(
-			punt.WithPortfolio(punt.Explicit, punt.Unfolding, punt.Symbolic),
+			punt.WithContenders(punt.Explicit, punt.Unfolding, punt.Symbolic),
 			punt.WithWorkers(1),
 		).Synthesize(context.Background(), punt.Fig1())
 		if err != nil {
@@ -134,7 +134,7 @@ func TestPortfolioAllFailReturnsFirstDiagnostic(t *testing.T) {
 	// Both contenders run out of budget; the error must be the first-listed
 	// contender's diagnostic, deterministically.
 	_, err := punt.New(
-		punt.WithPortfolio(punt.Unfolding, punt.Explicit),
+		punt.WithContenders(punt.Unfolding, punt.Explicit),
 		punt.WithMaxEvents(3),
 		punt.WithMaxStates(2),
 	).Synthesize(context.Background(), punt.MullerPipeline(8))

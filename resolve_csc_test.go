@@ -42,7 +42,7 @@ func TestResolveCSCAllEngines(t *testing.T) {
 	if _, err := punt.New().Synthesize(ctx, spec); !errors.Is(err, punt.ErrCSC) {
 		t.Fatalf("without the resolver synthesis must fail with ErrCSC, got %v", err)
 	}
-	for _, engine := range []punt.Engine{punt.Unfolding, punt.Explicit, punt.Symbolic, punt.Portfolio} {
+	for _, engine := range []string{punt.Unfolding, punt.Explicit, punt.Symbolic, punt.Portfolio} {
 		res, err := punt.New(punt.WithEngine(engine), punt.WithResolveCSC(4)).Synthesize(ctx, spec)
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)

@@ -47,6 +47,14 @@ type parseError struct{ err error }
 func (e *parseError) Error() string { return e.err.Error() }
 func (e *parseError) Unwrap() error { return e.err }
 
+// verifyError marks a failed (or inconclusive) closed-loop verification of
+// a synthesized implementation — exit 3 whether a property failed or a state
+// bound stopped it, exactly as the CLI reports a local verification failure.
+type verifyError struct{ err error }
+
+func (e *verifyError) Error() string { return e.err.Error() }
+func (e *verifyError) Unwrap() error { return e.err }
+
 // classify maps an error to its HTTP status and CLI exit code, mirroring the
 // punt command's exit statuses.
 func classify(err error) (status, exitCode int) {
@@ -67,11 +75,22 @@ func classify(err error) (status, exitCode int) {
 		return http.StatusBadRequest, 1
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusServiceUnavailable, 4
+	case errors.As(err, new(*verifyError)):
+		return http.StatusUnprocessableEntity, 3
 	default:
 		// A property of the specification (CSC, safeness, …) or an engine
 		// failure: the request was well-formed but cannot be satisfied.
 		return http.StatusUnprocessableEntity, 1
 	}
+}
+
+// ExitCode is the punt CLI exit status err maps to: 1 synthesis failure,
+// 2 usage, 3 failed verification, 4 budget exhaustion.  Daemon error
+// responses carry the same code, so a local run and a -server run of one
+// request exit alike.
+func ExitCode(err error) int {
+	_, code := classify(err)
+	return code
 }
 
 // errorBody builds the wire payload for err.

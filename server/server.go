@@ -4,10 +4,12 @@
 // Endpoints:
 //
 //	POST /v1/synthesize  — submit a .g specification plus configuration
-//	                       (JSON, see Request); responds with the Result's
-//	                       canonical JSON document, or — with "stream": true
-//	                       — with newline-delimited JSON forwarding progress
-//	                       events live before the final result line.
+//	                       (JSON, see Request — the punt CLI's vocabulary;
+//	                       unknown fields are rejected); responds with the
+//	                       Result's canonical JSON document, or — with
+//	                       "stream": true — with newline-delimited JSON
+//	                       forwarding progress events live before the final
+//	                       result line.
 //	GET  /v1/stats       — counters: requests, warm hits, syntheses,
 //	                       single-flight joins, rejections, and the per-tier
 //	                       cache breakdown.
@@ -202,12 +204,15 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req Request
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	// Unknown fields are usage errors: a misspelt option must fail loudly
+	// instead of silently running the default configuration.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, &usageError{fmt.Errorf("decoding request: %w", err)})
 		return
 	}
-	opts, err := req.options()
+	opts, err := req.Options()
 	if err != nil {
 		writeError(w, err)
 		return
@@ -235,11 +240,15 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 
 	// Warm hits are answered before admission control: a repeat request
 	// costs a cache lookup, and must never be queued — or rejected —
-	// behind cold work.
-	if res, ok := synth.Cached(ctx, spec); ok {
-		s.warmHits.Add(1)
-		s.respond(w, req, stream, res, nil)
-		return
+	// behind cold work.  A request that asks for verification is real work
+	// even when the implementation is cached (the entry may come from a
+	// request that did not verify), so it takes the admitted path.
+	if !req.Verify {
+		if res, ok := synth.Cached(ctx, spec); ok {
+			s.warmHits.Add(1)
+			s.respond(w, req, stream, res, nil)
+			return
+		}
 	}
 
 	if stream {
@@ -373,21 +382,11 @@ func (s *Server) synthesize(ctx context.Context, synth *punt.Synthesizer, spec *
 	s.syntheses.Add(1)
 	start := time.Now()
 	defer func() { s.observeSynthesis(time.Since(start)) }()
-	res, err := synth.Synthesize(ctx, spec)
+	res, _, err := req.Synthesize(ctx, synth, spec)
 	if err != nil {
 		s.errs.Add(1)
-		return nil, err
 	}
-	// Mirror the CLI: skip re-verification of cached results (verified when
-	// they entered the cache) and of resolver-repaired ones (closed-loop
-	// verified inside Synthesize).
-	if req.Verify && !res.Stats.Cached && !res.Resolved() {
-		if _, err := punt.Verify(ctx, res.Spec, res, punt.WithMaxStates(req.MaxStates)); err != nil {
-			s.errs.Add(1)
-			return nil, err
-		}
-	}
-	return res, nil
+	return res, err
 }
 
 // streamSynthesize serves the newline-delimited JSON variant: progress lines

@@ -69,6 +69,12 @@ func post(t *testing.T, client *http.Client, url string, req Request) (*http.Res
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postRaw(t, client, url, body)
+}
+
+// postRaw submits a raw request body and returns the response.
+func postRaw(t *testing.T, client *http.Client, url string, body []byte) (*http.Response, []byte) {
+	t.Helper()
 	resp, err := client.Post(url+"/v1/synthesize", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +190,7 @@ func TestSingleFlight(t *testing.T) {
 	defer release()
 
 	const n = 8
-	req := Request{Spec: punt.Fig1().Text(), Backend: slow.Name()}
+	req := Request{Spec: punt.Fig1().Text(), Engine: slow.Name()}
 	var wg sync.WaitGroup
 	results := make([]*punt.Result, n)
 	errs := make([]error, n)
@@ -251,7 +257,7 @@ func TestOverloadRejects(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		resp, data := post(t, ts.Client(), ts.URL, Request{Spec: punt.Fig1().Text(), Backend: slow.Name()})
+		resp, data := post(t, ts.Client(), ts.URL, Request{Spec: punt.Fig1().Text(), Engine: slow.Name()})
 		wantResult(t, resp, data)
 	}()
 	deadline := time.Now().Add(10 * time.Second)
@@ -260,7 +266,7 @@ func TestOverloadRejects(t *testing.T) {
 	}
 
 	// Different spec → different flight → needs its own slot → 429.
-	resp, data := post(t, ts.Client(), ts.URL, Request{Spec: punt.Handshake().Text(), Backend: slow.Name()})
+	resp, data := post(t, ts.Client(), ts.URL, Request{Spec: punt.Handshake().Text(), Engine: slow.Name()})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", resp.StatusCode, data)
 	}
@@ -294,9 +300,15 @@ func TestErrorMapping(t *testing.T) {
 	defer ts.Close()
 
 	cscText := mustReadSpecText(t, "../testdata/csc.g")
+	fig1JSON, err := json.Marshal(punt.Fig1().Text())
+	if err != nil {
+		t.Fatal(err)
+	}
+	withFig1 := func(fields string) string { return `{"spec":` + string(fig1JSON) + fields + `}` }
 	for _, tc := range []struct {
 		name     string
 		req      Request
+		raw      string // request body to send instead of req
 		status   int
 		exitCode int
 		sentinel error
@@ -306,10 +318,25 @@ func TestErrorMapping(t *testing.T) {
 			req:      Request{Spec: punt.Fig1().Text(), Engine: "warp-drive"},
 			status:   http.StatusBadRequest,
 			exitCode: 2,
+			sentinel: punt.ErrUnknownEngine,
 		},
 		{
+			// The backend field is gone: a client still sending it fails
+			// loudly instead of silently getting the default engine.
 			name:     "unknown backend is usage",
-			req:      Request{Spec: punt.Fig1().Text(), Backend: "no-such"},
+			raw:      withFig1(`,"backend":"explicit"`),
+			status:   http.StatusBadRequest,
+			exitCode: 2,
+		},
+		{
+			name:     "unknown field is usage",
+			raw:      withFig1(`,"bogus":1`),
+			status:   http.StatusBadRequest,
+			exitCode: 2,
+		},
+		{
+			name:     "misspelt field is usage",
+			raw:      withFig1(`,"resolvecsc":true`),
 			status:   http.StatusBadRequest,
 			exitCode: 2,
 		},
@@ -337,7 +364,13 @@ func TestErrorMapping(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, data := post(t, ts.Client(), ts.URL, tc.req)
+			var resp *http.Response
+			var data []byte
+			if tc.raw != "" {
+				resp, data = postRaw(t, ts.Client(), ts.URL, []byte(tc.raw))
+			} else {
+				resp, data = post(t, ts.Client(), ts.URL, tc.req)
+			}
 			if resp.StatusCode != tc.status {
 				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, data)
 			}
@@ -348,7 +381,13 @@ func TestErrorMapping(t *testing.T) {
 			if body.ExitCode != tc.exitCode {
 				t.Errorf("exit_code = %d, want %d (%s)", body.ExitCode, tc.exitCode, body.Error)
 			}
-			if tc.sentinel != nil {
+			if errors.Is(tc.sentinel, punt.ErrUnknownEngine) {
+				// A usage error carries no diagnostic; the message names the
+				// bad engine and the registered alternatives.
+				if !strings.Contains(body.Error, "unknown engine") || !strings.Contains(body.Error, "decompose") {
+					t.Errorf("error = %q, want the unknown engine and the engine list", body.Error)
+				}
+			} else if tc.sentinel != nil {
 				if body.Diagnostic == nil {
 					t.Fatalf("no structured diagnostic attached: %s", data)
 				}
@@ -454,7 +493,7 @@ func TestStreamDisconnect(t *testing.T) {
 	defer release()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	body, _ := json.Marshal(Request{Spec: punt.Fig1().Text(), Backend: slow.Name(), Stream: true})
+	body, _ := json.Marshal(Request{Spec: punt.Fig1().Text(), Engine: slow.Name(), Stream: true})
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/synthesize", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -500,7 +539,7 @@ func TestAbandonedFlightIsCancelled(t *testing.T) {
 	defer release()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	body, _ := json.Marshal(Request{Spec: punt.Handshake().Text(), Backend: slow.Name()})
+	body, _ := json.Marshal(Request{Spec: punt.Handshake().Text(), Engine: slow.Name()})
 	hreq, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/synthesize", bytes.NewReader(body))
 	hreq.Header.Set("Content-Type", "application/json")
 	done := make(chan struct{})
@@ -755,7 +794,7 @@ func TestRetryAfterHeaderMatchesBody(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		resp, data := post(t, ts.Client(), ts.URL, Request{Spec: punt.Fig1().Text(), Backend: slow.Name()})
+		resp, data := post(t, ts.Client(), ts.URL, Request{Spec: punt.Fig1().Text(), Engine: slow.Name()})
 		wantResult(t, resp, data)
 	}()
 	deadline := time.Now().Add(10 * time.Second)
@@ -763,7 +802,7 @@ func TestRetryAfterHeaderMatchesBody(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	resp, data := post(t, ts.Client(), ts.URL, Request{Spec: punt.Handshake().Text(), Backend: slow.Name()})
+	resp, data := post(t, ts.Client(), ts.URL, Request{Spec: punt.Handshake().Text(), Engine: slow.Name()})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", resp.StatusCode, data)
 	}

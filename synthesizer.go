@@ -52,9 +52,8 @@ type Progress struct {
 type config struct {
 	mode       Mode
 	arch       gates.Architecture
-	engine     Engine
-	backend    string   // named backend override; empty = engine selects
-	portfolio  []string // contender backend names for the Portfolio engine
+	engine     string   // registered backend name or Portfolio; empty = Unfolding
+	contenders []string // backends the Portfolio races; empty = defaultContenders
 	cache      Cache
 	maxEvents  int
 	maxStates  int
@@ -69,20 +68,24 @@ type config struct {
 }
 
 // selection names the config's backend selection the way Stats.Backend and
-// the cache key do: the named backend, the engine, or the portfolio with its
-// contender list.
+// the cache key do: the backend name, or the portfolio with its contender
+// list.
 func (c *config) selection() string {
-	if c.backend != "" {
-		return c.backend
+	switch c.engine {
+	case "":
+		return Unfolding
+	case Portfolio:
+		return "portfolio(" + strings.Join(c.portfolioContenders(), ",") + ")"
 	}
-	if c.engine != Portfolio {
-		return c.engine.String()
+	return c.engine
+}
+
+// portfolioContenders is the contender list the Portfolio races.
+func (c *config) portfolioContenders() []string {
+	if len(c.contenders) == 0 {
+		return defaultContenders
 	}
-	names := c.portfolio
-	if len(names) == 0 {
-		names = defaultContenders
-	}
-	return "portfolio(" + strings.Join(names, ",") + ")"
+	return c.contenders
 }
 
 // Option configures a Synthesizer (and the package-level Batch, Unfold and
@@ -109,49 +112,26 @@ func WithMaxStates(n int) Option { return func(c *config) { c.maxStates = n } }
 // ErrLimit (0 = unlimited).
 func WithMaxNodes(n int) Option { return func(c *config) { c.maxNodes = n } }
 
-// WithEngine selects the synthesis engine: one of the builtin backends
-// (Unfolding, Explicit, Symbolic) or the Portfolio scheduler, which races the
-// configured contenders (see WithPortfolio).  WithEngine(Unfolding) restores
-// the default.
-func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
+// WithEngine selects the synthesis engine by name: any registered backend
+// (Unfolding, Explicit, Symbolic, Decompose, or a name added with Register)
+// or Portfolio, the scheduler that races the WithContenders list (the three
+// monolithic builtins by default).  WithEngine(Unfolding) restores the
+// default.  An unknown name fails at Synthesize time with a *Diagnostic
+// matching ErrUnknownEngine and listing the registered backends.
+func WithEngine(name string) Option { return func(c *config) { c.engine = name } }
 
-// WithBaseline selects a state-graph baseline engine (Explicit or Symbolic)
-// instead of the default unfolding flow, so the baselines are driven through
-// exactly the same API.  WithBaseline(Unfolding) restores the default.  It is
-// a synonym of WithEngine kept for the engine-comparison vocabulary of the
-// paper.
-func WithBaseline(e Engine) Option { return WithEngine(e) }
-
-// WithBackend selects a registered synthesis backend by name, including
-// backends added with Register.  It overrides WithEngine/WithBaseline; an
-// unknown name fails at Synthesize time with a *Diagnostic listing the
-// registered backends.
-func WithBackend(name string) Option { return func(c *config) { c.backend = name } }
-
-// WithPortfolio selects the portfolio scheduler: the given engines are raced
-// concurrently under a shared context, the first success wins, the losers are
-// cancelled promptly, and Stats.Contenders records every contender's outcome.
-// Without arguments (or with plain WithEngine(Portfolio)) the portfolio races
-// the three builtin engines.  WithWorkers bounds how many contenders run at
-// once; with WithWorkers(1) the contenders run sequentially in the given
-// order, so the winner is deterministic.
-func WithPortfolio(engines ...Engine) Option {
-	return func(c *config) {
-		c.engine = Portfolio
-		c.portfolio = c.portfolio[:0]
-		for _, e := range engines {
-			c.portfolio = append(c.portfolio, e.String())
-		}
-	}
-}
-
-// WithContenders is WithPortfolio for named backends: the portfolio races the
-// registered backends with the given names, Register-ed custom backends
-// included.
+// WithContenders selects the portfolio scheduler over the named registered
+// backends: they are raced concurrently under a shared context, the first
+// success wins, the losers are cancelled promptly, and Stats.Contenders
+// records every contender's outcome.  Without arguments the portfolio races
+// Unfolding, Explicit and Symbolic, as plain WithEngine(Portfolio) does.
+// WithWorkers bounds how many contenders run at once; with WithWorkers(1)
+// the contenders run sequentially in the given order, so the winner is
+// deterministic.
 func WithContenders(names ...string) Option {
 	return func(c *config) {
 		c.engine = Portfolio
-		c.portfolio = append(c.portfolio[:0], names...)
+		c.contenders = append([]string(nil), names...)
 	}
 }
 
@@ -309,10 +289,10 @@ func (c ComponentStat) String() string {
 // state-space construction time, SynTime the cover extraction and EspTime the
 // two-level minimisation, so the phases stay comparable across engines.
 type Stats struct {
-	// Engine is the builtin engine identity of the backend that produced the
-	// result (the winning contender in portfolio mode); custom backends leave
-	// it at Unfolding and are identified by Backend instead.
-	Engine Engine `json:"engine"`
+	// Engine names the engine that produced the result: the winning
+	// contender in portfolio mode, the inner engine of a decompose run that
+	// fell through, otherwise the selected backend itself.
+	Engine string `json:"engine"`
 	// Backend names the backend that produced the result; in portfolio mode
 	// it names the winning contender.
 	Backend string `json:"backend,omitempty"`
@@ -403,7 +383,7 @@ func (s *Stats) String() string {
 			s.EspTime.Round(time.Microsecond), s.Total.Round(time.Microsecond),
 			s.Events, s.Conditions, s.Cutoffs, s.TermsRefined, s.SignalsRefined)
 	}
-	if s.Backend != "" && s.Backend != s.Engine.String() {
+	if s.Backend != "" && s.Backend != s.Engine {
 		fmt.Fprintf(&sb, " backend=%s", s.Backend)
 	}
 	if len(s.Contenders) > 0 {
@@ -544,28 +524,21 @@ func (s *Synthesizer) backendConfig() BackendConfig {
 
 // defaultContenders is the portfolio raced by plain WithEngine(Portfolio):
 // the paper's three-way engine comparison.
-var defaultContenders = []string{Unfolding.String(), Explicit.String(), Symbolic.String()}
+var defaultContenders = []string{Unfolding, Explicit, Symbolic}
 
 // resolveBackends maps the configured engine selection onto registered
 // backends: a single backend for the direct engines, a contender list for the
 // portfolio scheduler.
 func (s *Synthesizer) resolveBackends() (single Backend, contenders []Backend, err error) {
-	if name := s.cfg.backend; name != "" {
-		b, err := lookupBackend(name)
-		return b, nil, err
-	}
 	if s.cfg.engine != Portfolio {
-		b, err := lookupBackend(s.cfg.engine.String())
+		b, err := lookupBackend(s.cfg.selection())
 		return b, nil, err
 	}
-	names := s.cfg.portfolio
-	if len(names) == 0 {
-		names = defaultContenders
-	}
+	names := s.cfg.portfolioContenders()
 	contenders = make([]Backend, 0, len(names))
 	seen := make(map[string]bool, len(names))
 	for _, name := range names {
-		if name == "portfolio" {
+		if name == Portfolio {
 			return nil, nil, fmt.Errorf("punt: a portfolio cannot race itself")
 		}
 		if seen[name] {
@@ -726,11 +699,9 @@ func (s *Synthesizer) attemptConfigs() []attemptConfig {
 	out = append(out, attemptConfig{cfg: s.cfg})
 	for _, st := range s.cfg.fallback {
 		c := s.cfg
-		// Options mutate slice fields in place (WithPortfolio reuses the
-		// backing array): give the derived config its own copies before
-		// applying the step, and strip nested ladders either way.
-		c.portfolio = append([]string(nil), c.portfolio...)
-		c.fallback = nil
+		// The step's options apply on top of the base (options never write
+		// into a shared slice, so the copy is independent); nested ladders
+		// are stripped.
 		for _, o := range st.Options {
 			o(&c)
 		}
