@@ -7,13 +7,13 @@ package punt
 //   - BenchmarkTable1Petrify       — the symbolic (BDD) baseline column
 //   - BenchmarkFigure6PUNT/SIS/Petrify — the scaling series of Figure 6
 //   - BenchmarkCounterflowPUNT     — the circled counterflow-pipeline point
-//   - BenchmarkUnfoldOnly / BenchmarkExactMode — ablations of the design
-//     choices called out in DESIGN.md (segment construction cost, exact
-//     versus approximated cover derivation)
+//   - BenchmarkUnfoldOnly / BenchmarkExactMode — ablations of two design
+//     choices: segment construction cost, and exact versus approximated
+//     cover derivation
 //
 // Run them all with:  go test -bench=. -benchmem
-// EXPERIMENTS.md records a full set of measured numbers next to the values
-// the paper reports.
+// go run ./cmd/benchtab -table1 (or -figure6) prints the same series as
+// tables.
 
 import (
 	"context"

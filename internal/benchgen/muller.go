@@ -85,8 +85,9 @@ func MullerPipelineWithSignals(signals int) *stg.STG {
 // directions, modelled as two 15-stage Muller pipelines operating
 // concurrently in one specification.  Its state graph is the product of the
 // two pipelines' state graphs — far beyond explicit enumeration — while the
-// unfolding segment is just the two segments side by side.  See DESIGN.md §4
-// for the substitution rationale.
+// unfolding segment is just the two segments side by side.  The original
+// controller's specification is not distributed with the paper; the stand-in
+// keeps its signal count and the concurrency the experiment measures.
 func CounterflowPipeline() *stg.STG {
 	g := stg.New("counterflow-pipeline")
 	addPipeline(g, "f", 15) // forward (request) flow: f0..f16

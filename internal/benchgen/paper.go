@@ -3,7 +3,8 @@
 // Fig. 4), a library of small hand-written handshake controllers, scalable
 // Muller-pipeline and counterflow-pipeline generators for the Figure 6
 // experiment, and parameterised synthetic controllers standing in for the
-// Table 1 benchmark suite (see DESIGN.md §4 for the substitution rationale).
+// Table 1 benchmark suite, whose original descriptions are not
+// redistributable (see Table1Suite).
 package benchgen
 
 import (

@@ -16,7 +16,7 @@ import (
 // "broad" handshake, which keeps the composed STG consistent, safe,
 // semi-modular and free of CSC conflicts while mixing sequencing, wide
 // concurrency and input choice — the structure class of the paper's Table 1
-// benchmarks.  See DESIGN.md §4 for why the originals are substituted.
+// benchmarks, whose originals are not redistributable.
 
 // nodeKind is the type of a plan-tree node.
 type nodeKind int
@@ -259,7 +259,7 @@ type BenchmarkEntry struct {
 // Table1Suite returns the 21 benchmarks of the paper's Table 1.  The original
 // circuit descriptions are not redistributable, so each entry is a
 // deterministic synthetic controller with the same signal count and a
-// comparable structure class (see DESIGN.md §4).
+// comparable structure class.
 func Table1Suite() []BenchmarkEntry {
 	rows := []struct {
 		name    string

@@ -146,7 +146,7 @@ func (c *Cover) IntersectCube(cb Cube) *Cover {
 func (c *Cover) Intersects(d *Cover) bool {
 	for _, a := range c.cubes {
 		for _, b := range d.cubes {
-			if _, ok := a.Intersect(b); ok {
+			if a.intersects(b) {
 				return true
 			}
 		}

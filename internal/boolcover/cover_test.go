@@ -171,3 +171,32 @@ func TestQuickIntersectCoverSemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestIntersectionTestsDoNotAllocate pins the emptiness tests the cover
+// derivation runs per pair of terms, and espresso per expansion step, to
+// zero allocations on intersecting and on disjoint inputs.
+func TestIntersectionTestsDoNotAllocate(t *testing.T) {
+	on := CoverFromStrings("1-0", "01-")
+	cb := MustCube("1-0")
+	for _, tc := range []struct {
+		name string
+		d    *Cover
+		want bool
+	}{
+		{"intersecting", CoverFromStrings("001", "--0"), true},
+		{"disjoint", CoverFromStrings("001", "111"), false},
+	} {
+		if got := on.Intersects(tc.d); got != tc.want {
+			t.Errorf("%s: Cover.Intersects = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := intersectsCover(cb, tc.d); got != tc.want {
+			t.Errorf("%s: intersectsCover = %v, want %v", tc.name, got, tc.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { on.Intersects(tc.d) }); n != 0 {
+			t.Errorf("%s: Cover.Intersects allocates %v times", tc.name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { intersectsCover(cb, tc.d) }); n != 0 {
+			t.Errorf("%s: intersectsCover allocates %v times", tc.name, n)
+		}
+	}
+}

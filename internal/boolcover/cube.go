@@ -221,6 +221,21 @@ func (c Cube) Distance(d Cube) int {
 	return n
 }
 
+// intersects reports whether c and d share a minterm, i.e. Distance(d) == 0,
+// stopping at the first opposing literal and without building the
+// intersection.
+func (c Cube) intersects(d Cube) bool {
+	if len(c.t) != len(d.t) {
+		panic("boolcover: cube width mismatch")
+	}
+	for i, a := range c.t {
+		if b := d.t[i]; a != Dash && b != Dash && a != b {
+			return false
+		}
+	}
+	return true
+}
+
 // Supercube returns the smallest cube containing both c and d.
 func (c Cube) Supercube(d Cube) Cube {
 	if len(c.t) != len(d.t) {

@@ -95,7 +95,7 @@ func expand(c, off *Cover) *Cover {
 
 func intersectsCover(cb Cube, c *Cover) bool {
 	for _, e := range c.cubes {
-		if _, ok := cb.Intersect(e); ok {
+		if cb.intersects(e) {
 			return true
 		}
 	}

@@ -64,11 +64,12 @@ func erApproxCube(u *unfolding.Unfolding, s *Slice) boolcover.Cube {
 	return cube
 }
 
-// concurrentSliceSignals returns, for a condition of the slice, the set of
-// signals that have an instance in the slice concurrent to the condition —
-// the literals weakened to don't-care by the MR approximation.
-func concurrentSliceSignals(u *unfolding.Unfolding, s *Slice, c *unfolding.Condition) map[int]bool {
-	out := map[int]bool{}
+// concurrentSliceSignals returns, for a condition of the slice, the mask of
+// signals (indexed by signal) that have an instance in the slice concurrent
+// to the condition — the literals weakened to don't-care by the MR
+// approximation.
+func concurrentSliceSignals(u *unfolding.Unfolding, s *Slice, c *unfolding.Condition) []bool {
+	out := make([]bool, u.STG.NumSignals())
 	for _, f := range s.Events {
 		lf := u.Label(f)
 		if lf.IsDummy || lf.Signal == s.Signal {
@@ -85,12 +86,14 @@ func concurrentSliceSignals(u *unfolding.Unfolding, s *Slice, c *unfolding.Condi
 }
 
 // mrCube builds one marked-region cube for the condition: the binary code of
-// the local configuration of its preceding transition with the given signals
-// replaced by don't-cares.
-func mrCube(c *unfolding.Condition, dash map[int]bool) boolcover.Cube {
+// the local configuration of its preceding transition with the signals set in
+// the dash mask replaced by don't-cares.
+func mrCube(c *unfolding.Condition, dash []bool) boolcover.Cube {
 	cube := boolcover.CubeFromMinterm(c.Producer.Code)
-	for sig := range dash {
-		cube.Set(sig, boolcover.Dash)
+	for sig, d := range dash {
+		if d {
+			cube.Set(sig, boolcover.Dash)
+		}
 	}
 	return cube
 }
@@ -241,12 +244,10 @@ func boundaryInputTerms(u *unfolding.Unfolding, s *Slice, c *unfolding.Condition
 	}
 	dash := concurrentSliceSignals(u, s, c)
 	cover := boolcover.NewCover(u.STG.NumSignals())
+	restricted := make([]bool, len(dash))
 	for _, tk := range concurrentProducers {
-		restricted := map[int]bool{}
-		for sig := range dash {
-			restricted[sig] = true
-		}
-		delete(restricted, u.Label(tk).Signal)
+		copy(restricted, dash)
+		restricted[u.Label(tk).Signal] = false
 		cover.Add(mrCube(c, restricted))
 	}
 	return cover, true

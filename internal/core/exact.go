@@ -1,37 +1,23 @@
 package core
 
 import (
+	"slices"
+
 	"punt/internal/bitvec"
 	"punt/internal/boolcover"
 	"punt/internal/stg"
 	"punt/internal/unfolding"
 )
 
-// sliceWalk is a token-game walk restricted to a slice of the segment.  It
-// starts at a given cut/code, fires only the allowed events, never fires or
-// crosses the slice boundary, and reports every visited state whose implied
-// value matches the slice phase.
-type sliceWalk struct {
-	u     *unfolding.Unfolding
-	s     *Slice
-	allow map[int]bool // event IDs that may be fired
-}
-
-func newSliceWalk(u *unfolding.Unfolding, s *Slice) *sliceWalk {
-	w := &sliceWalk{u: u, s: s, allow: map[int]bool{}}
-	for _, e := range s.Events {
-		w.allow[e.ID] = true
-	}
-	return w
-}
-
-// run explores from the given start cut and code.  For every visited state it
-// decides whether the state belongs to the slice (no boundary instance is
-// excited there); if so, visit is called with the state's binary code.
-// States in which a boundary instance is excited are neither reported nor
-// explored further: they belong to the opposite phase and are handled by the
-// slices of that phase.
-func (w *sliceWalk) run(startCut []*unfolding.Condition, startCode bitvec.Vec, fireable func(*unfolding.Event) bool, visit func(code bitvec.Vec)) {
+// walkSlice plays the token game restricted to a slice of the segment.  It
+// explores from the given start cut and code, firing only the slice's events
+// that fireable (when non-nil) allows and never firing or crossing the slice
+// boundary.  For every visited state it decides whether the state belongs to
+// the slice (no boundary instance is excited there); if so, visit is called
+// with the state's binary code.  States in which a boundary instance is
+// excited are neither reported nor explored further: they belong to the
+// opposite phase and are handled by the slices of that phase.
+func walkSlice(u *unfolding.Unfolding, s *Slice, startCut []*unfolding.Condition, startCode bitvec.Vec, fireable func(*unfolding.Event) bool, visit func(code bitvec.Vec)) {
 	type node struct {
 		cut  []*unfolding.Condition
 		code bitvec.Vec
@@ -52,28 +38,21 @@ func (w *sliceWalk) run(startCut []*unfolding.Condition, startCode bitvec.Vec, f
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		enabled := w.u.EnabledAt(cur.cut)
-		boundaryExcited := false
-		for _, e := range enabled {
-			if w.s.isBoundary(e) {
-				boundaryExcited = true
-				break
-			}
-		}
-		if boundaryExcited {
+		enabled := u.EnabledAt(cur.cut)
+		if slices.ContainsFunc(enabled, s.isBoundary) {
 			continue
 		}
 		visit(cur.code)
 		for _, e := range enabled {
-			if !w.allow[e.ID] {
+			if !s.containsEvent(e) {
 				continue
 			}
 			if fireable != nil && !fireable(e) {
 				continue
 			}
-			nextCut := w.u.FireAt(cur.cut, e)
+			nextCut := u.FireAt(cur.cut, e)
 			nextCode := cur.code.Clone()
-			if l := w.u.Label(e); !l.IsDummy {
+			if l := u.Label(e); !l.IsDummy {
 				nextCode.Set(l.Signal, l.Dir == stg.Plus)
 			}
 			h := unfolding.CutHash(nextCut)
@@ -89,8 +68,7 @@ func (w *sliceWalk) run(startCut []*unfolding.Condition, startCode bitvec.Vec, f
 // the exact cover of their binary codes.
 func exactSliceCover(u *unfolding.Unfolding, s *Slice) *boolcover.Cover {
 	cover := boolcover.NewCover(u.STG.NumSignals())
-	w := newSliceWalk(u, s)
-	w.run(s.MinCut, s.MinCode, nil, func(code bitvec.Vec) {
+	walkSlice(u, s, s.MinCut, s.MinCode, nil, func(code bitvec.Vec) {
 		cover.Add(boolcover.CubeFromMinterm(code))
 	})
 	return cover
@@ -105,8 +83,7 @@ func exactExcitationCover(u *unfolding.Unfolding, s *Slice) *boolcover.Cover {
 		return nil
 	}
 	cover := boolcover.NewCover(u.STG.NumSignals())
-	w := newSliceWalk(u, s)
-	w.run(s.MinCut, s.MinCode, func(e *unfolding.Event) bool {
+	walkSlice(u, s, s.MinCut, s.MinCode, func(e *unfolding.Event) bool {
 		return e != s.Entry // keep the entry excited: never fire it
 	}, func(code bitvec.Vec) {
 		cover.Add(boolcover.CubeFromMinterm(code))
@@ -119,16 +96,8 @@ func exactExcitationCover(u *unfolding.Unfolding, s *Slice) *boolcover.Cover {
 // of the place instance, restricted to the slice).
 func exactMRCover(u *unfolding.Unfolding, s *Slice, c *unfolding.Condition) *boolcover.Cover {
 	cover := boolcover.NewCover(u.STG.NumSignals())
-	w := newSliceWalk(u, s)
-	prod := c.Producer
-	startCut := prod.Cut
-	startCode := prod.Code
-	consumers := map[int]bool{}
-	for _, e := range c.Consumers {
-		consumers[e.ID] = true
-	}
-	w.run(startCut, startCode, func(e *unfolding.Event) bool {
-		return !consumers[e.ID] // keep the condition marked
+	walkSlice(u, s, c.Producer.Cut, c.Producer.Code, func(e *unfolding.Event) bool {
+		return !slices.Contains(c.Consumers, e) // keep the condition marked
 	}, func(code bitvec.Vec) {
 		cover.Add(boolcover.CubeFromMinterm(code))
 	})

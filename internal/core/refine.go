@@ -33,8 +33,9 @@ type refineStats struct {
 // slice's entry instance (for ER terms) or the exact marked region of the
 // condition restricted to the slice (for MR terms).  This realises the
 // paper's refinement — restoring the marking component of the reachable
-// states represented by the slice — at the granularity of whole terms; see
-// DESIGN.md §4 item 6.
+// states represented by the slice — at the granularity of whole terms, so that
+// every refinement step makes one term exact and the loop in refine
+// terminates.
 func refineTerm(u *unfolding.Unfolding, t *approxTerm) {
 	if t.Exact {
 		return

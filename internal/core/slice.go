@@ -9,12 +9,14 @@
 // obtained either exactly (by enumerating the states encapsulated in the
 // slice) or approximately (from the binary codes of local configurations,
 // weakening the literals of concurrent signals), with the approximated covers
-// refined only where the on- and off-set covers interfere.  See DESIGN.md for
-// the correspondence between this package and the sections of the paper.
+// refined only where the on- and off-set covers interfere.  slice.go builds the
+// slices, exact.go enumerates their states (Section 4.1 of the paper),
+// approx.go approximates their covers (Section 4.2) and refine.go refines the
+// approximations where they interfere (Section 4.3).
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"punt/internal/bitvec"
 	"punt/internal/stg"
@@ -43,8 +45,11 @@ type Slice struct {
 	// excited belong to the opposite phase and are excluded from the slice.
 	Boundary []*unfolding.Event
 	// Events are the events that may fire inside the slice, including the
-	// entry event itself when it is not the root.
+	// entry event itself when it is not the root, in ID order.
 	Events []*unfolding.Event
+	// members holds the IDs of Events, so the exact walks test membership in
+	// constant time.
+	members bitvec.Vec
 	// Conditions are the place instances of the slice that are sequential to
 	// the entry event; they are the candidates of the approximation set.
 	Conditions []*unfolding.Condition
@@ -95,6 +100,7 @@ func newSlice(u *unfolding.Unfolding, signal int, phase bool, entry *unfolding.E
 		return false
 	}
 
+	s.members = bitvec.New(len(u.Events))
 	for _, f := range u.Events {
 		if f.IsRoot {
 			continue
@@ -124,56 +130,36 @@ func newSlice(u *unfolding.Unfolding, signal int, phase bool, entry *unfolding.E
 				}
 			}
 		}
-		s.Events = append(s.Events, f)
+		s.members.Set(f.ID, true)
 	}
-	sort.Slice(s.Events, func(i, j int) bool { return s.Events[i].ID < s.Events[j].ID })
+	// u.Events is indexed by ID, so this keeps Events in ID order.
+	s.Events = make([]*unfolding.Event, 0, s.members.Count())
+	for _, f := range u.Events {
+		if s.members.Get(f.ID) {
+			s.Events = append(s.Events, f)
+		}
+	}
 
 	// The approximation-set candidates are the conditions sequential to the
 	// entry: produced by the entry itself or by a slice event causally after
 	// it (for the root entry, every condition produced by the root or by a
-	// slice event qualifies).
-	inEvents := map[int]bool{}
+	// slice event qualifies).  A condition is created with its producer, so
+	// walking the producers in ID order lists the conditions in ID order.
+	if entry.IsRoot {
+		s.Conditions = append(s.Conditions, entry.Postset...)
+	}
 	for _, f := range s.Events {
-		inEvents[f.ID] = true
-	}
-	for _, c := range u.Conditions {
-		prod := c.Producer
-		if prod == nil {
-			continue
-		}
-		switch {
-		case prod.IsRoot:
-			if entry.IsRoot {
-				s.Conditions = append(s.Conditions, c)
-			}
-		case prod == entry:
-			s.Conditions = append(s.Conditions, c)
-		case inEvents[prod.ID] && (entry.IsRoot || u.Before(entry, prod)):
-			s.Conditions = append(s.Conditions, c)
+		if entry.IsRoot || f == entry || u.Before(entry, f) {
+			s.Conditions = append(s.Conditions, f.Postset...)
 		}
 	}
-	sort.Slice(s.Conditions, func(i, j int) bool { return s.Conditions[i].ID < s.Conditions[j].ID })
 	return s
 }
 
 // containsEvent reports whether the event belongs to the slice (may fire
 // inside it).
-func (s *Slice) containsEvent(f *unfolding.Event) bool {
-	for _, e := range s.Events {
-		if e == f {
-			return true
-		}
-	}
-	return false
-}
+func (s *Slice) containsEvent(f *unfolding.Event) bool { return s.members.Get(f.ID) }
 
 // isBoundary reports whether the event is one of the slice's boundary
 // instances.
-func (s *Slice) isBoundary(f *unfolding.Event) bool {
-	for _, n := range s.Boundary {
-		if n == f {
-			return true
-		}
-	}
-	return false
-}
+func (s *Slice) isBoundary(f *unfolding.Event) bool { return slices.Contains(s.Boundary, f) }

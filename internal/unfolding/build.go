@@ -200,7 +200,7 @@ func Build(ctx context.Context, g *stg.STG, opts Options) (*Unfolding, error) {
 		states:     map[uint64][]*Event{},
 		placeConds: map[petri.PlaceID]*idSet{},
 	}
-	b.u = &Unfolding{STG: g, byTransition: map[petri.TransitionID][]*Event{}}
+	b.u = &Unfolding{STG: g, bySignal: make([][]*Event, g.NumSignals())}
 	if opts.Workers > 1 {
 		b.pool = newPEPool(b, opts.Workers, faultinject.From(ctx))
 		defer b.pool.close()
@@ -490,7 +490,9 @@ func (b *builder) newEventFor(pe *possibleExtension) (*Event, error) {
 	}
 	e.Code = code
 	b.u.Events = append(b.u.Events, e)
-	b.u.byTransition[pe.transition] = append(b.u.byTransition[pe.transition], e)
+	if !label.IsDummy {
+		b.u.bySignal[label.Signal] = append(b.u.bySignal[label.Signal], e)
+	}
 	for _, c := range pe.preset {
 		c.Consumers = append(c.Consumers, e)
 	}

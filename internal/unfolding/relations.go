@@ -1,6 +1,7 @@
 package unfolding
 
 import (
+	"slices"
 	"sort"
 
 	"punt/internal/bitvec"
@@ -219,18 +220,14 @@ func (u *Unfolding) MinExcitationCut(e *Event) []*Condition {
 	if e.IsRoot {
 		return append([]*Condition(nil), e.Cut...)
 	}
-	inPost := map[int]bool{}
-	for _, c := range e.Postset {
-		inPost[c.ID] = true
-	}
-	var cut []*Condition
+	cut := make([]*Condition, 0, len(e.Cut)+len(e.Preset))
 	for _, c := range e.Cut {
-		if !inPost[c.ID] {
+		if !slices.Contains(e.Postset, c) {
 			cut = append(cut, c)
 		}
 	}
 	cut = append(cut, e.Preset...)
-	sort.Slice(cut, func(i, j int) bool { return cut[i].ID < cut[j].ID })
+	slices.SortFunc(cut, conditionOrder)
 	return cut
 }
 
@@ -241,23 +238,21 @@ func (u *Unfolding) MinStableCut(e *Event) []*Condition {
 }
 
 // EnabledAt returns the non-root events of the segment whose whole preset is
-// contained in the given cut.
+// contained in the given cut, ordered by event ID.  Like FireAt it runs once
+// per state an exact walk visits; cuts and presets are short, so both test
+// membership by linear scan instead of building a set per call.
 func (u *Unfolding) EnabledAt(cut []*Condition) []*Event {
-	inCut := map[int]bool{}
-	for _, c := range cut {
-		inCut[c.ID] = true
-	}
-	seen := map[int]bool{}
 	var out []*Event
 	for _, c := range cut {
 		for _, e := range c.Consumers {
-			if seen[e.ID] {
+			// An enabled event is met once per preset condition; examine it
+			// only from its first one.
+			if e.Preset[0] != c {
 				continue
 			}
-			seen[e.ID] = true
 			ok := true
-			for _, b := range e.Preset {
-				if !inCut[b.ID] {
+			for _, b := range e.Preset[1:] {
+				if !slices.Contains(cut, b) {
 					ok = false
 					break
 				}
@@ -267,27 +262,25 @@ func (u *Unfolding) EnabledAt(cut []*Condition) []*Event {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *Event) int { return a.ID - b.ID })
 	return out
 }
 
 // FireAt returns the cut reached from the given cut by firing event e, which
 // must be enabled there.
 func (u *Unfolding) FireAt(cut []*Condition, e *Event) []*Condition {
-	inPre := map[int]bool{}
-	for _, c := range e.Preset {
-		inPre[c.ID] = true
-	}
-	next := make([]*Condition, 0, len(cut))
+	next := make([]*Condition, 0, len(cut)+len(e.Postset))
 	for _, c := range cut {
-		if !inPre[c.ID] {
+		if !slices.Contains(e.Preset, c) {
 			next = append(next, c)
 		}
 	}
 	next = append(next, e.Postset...)
-	sort.Slice(next, func(i, j int) bool { return next[i].ID < next[j].ID })
+	slices.SortFunc(next, conditionOrder)
 	return next
 }
+
+func conditionOrder(a, b *Condition) int { return a.ID - b.ID }
 
 // CutHash returns a canonical 64-bit map key for a cut.  Each condition ID is
 // avalanche-mixed and the results are combined commutatively, so the hash is

@@ -102,8 +102,9 @@ type Unfolding struct {
 	// co[c.ID] is the set of condition IDs concurrent with condition c.
 	co []*idSet
 
-	// byTransition groups non-root events by their STG transition.
-	byTransition map[petri.TransitionID][]*Event
+	// bySignal[s] lists the events labelled with signal s in ID order.  It is
+	// filled as events are created, so a lookup never writes to the segment.
+	bySignal [][]*Event
 
 	// conflictCache memoises pairwise event-conflict queries; anyConflict is
 	// the lazily computed "does any condition have two consumers" fast path
@@ -148,22 +149,12 @@ func (u *Unfolding) NumCutoffs() int {
 	return n
 }
 
-// EventsOf returns the instances of the given STG transition.
-func (u *Unfolding) EventsOf(t petri.TransitionID) []*Event { return u.byTransition[t] }
-
 // EventsOfSignal returns all events labelled with the given signal, in either
-// direction, ordered by event ID.
+// direction, ordered by event ID.  The result shares the segment's index; its
+// capacity is clipped, so appending to it copies instead of corrupting it.
 func (u *Unfolding) EventsOfSignal(signal int) []*Event {
-	var out []*Event
-	for _, e := range u.Events {
-		if e.IsRoot {
-			continue
-		}
-		if !e.label.IsDummy && e.label.Signal == signal {
-			out = append(out, e)
-		}
-	}
-	return out
+	s := u.bySignal[signal]
+	return s[:len(s):len(s)]
 }
 
 // EventsOfEdge returns all events labelled with the given signal edge.

@@ -3,6 +3,7 @@ package unfolding
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"punt/internal/benchgen"
@@ -295,5 +296,40 @@ func TestEventLimit(t *testing.T) {
 	_, err := Build(context.Background(), g, Options{MaxEvents: 3})
 	if !errors.Is(err, ErrEventLimit) {
 		t.Fatalf("expected ErrEventLimit, got %v", err)
+	}
+}
+
+// TestEventsOfSignalIndex pins the per-signal index built during
+// construction to a linear scan of the segment, checks that appending to a
+// result cannot write into the index, and that a lookup does not allocate.
+func TestEventsOfSignalIndex(t *testing.T) {
+	var specs []*stg.STG
+	for _, e := range benchgen.Table1Suite() {
+		specs = append(specs, e.Build())
+	}
+	specs = append(specs, benchgen.MullerPipelineWithSignals(50))
+	for _, g := range specs {
+		u := build(t, g)
+		for sig := 0; sig < g.NumSignals(); sig++ {
+			var want []*Event
+			for _, e := range u.Events {
+				if l := u.Label(e); !e.IsRoot && !l.IsDummy && l.Signal == sig {
+					want = append(want, e)
+				}
+			}
+			got := u.EventsOfSignal(sig)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s signal %d: EventsOfSignal differs from a scan of the segment", g.Name(), sig)
+			}
+			// Two callers appending to their results must not share storage.
+			first := append(u.EventsOfSignal(sig), u.Root)
+			_ = append(u.EventsOfSignal(sig), nil)
+			if first[len(first)-1] != u.Root || !slices.Equal(u.EventsOfSignal(sig), want) {
+				t.Fatalf("%s signal %d: appending to a result changed the index", g.Name(), sig)
+			}
+			if n := testing.AllocsPerRun(10, func() { u.EventsOfSignal(sig) }); n != 0 {
+				t.Fatalf("%s signal %d: EventsOfSignal allocates %v times", g.Name(), sig, n)
+			}
+		}
 	}
 }
