@@ -97,6 +97,18 @@ func (v Vec) check(i int) {
 	}
 }
 
+// Slab returns count zeroed vectors of n bits each that share one backing
+// array, so a table of equal-width sets costs two allocations.
+func Slab(count, n int) []Vec {
+	nw := (n + wordBits - 1) / wordBits
+	words := make([]uint64, count*nw)
+	out := make([]Vec, count)
+	for i := range out {
+		out[i] = Vec{n: n, words: words[i*nw : (i+1)*nw : (i+1)*nw]}
+	}
+	return out
+}
+
 // Clone returns an independent copy of the vector.
 func (v Vec) Clone() Vec {
 	w := Vec{n: v.n, words: make([]uint64, len(v.words))}
@@ -209,6 +221,23 @@ func (v Vec) AndNot(w Vec) {
 	}
 }
 
+// AndNotWords clears in v every bit set in the given words, read as the
+// low-order prefix of a vector in this package's layout (bit i in word i/64,
+// position i%64).  Words beyond v's own are ignored.  It lets a set kept in
+// another representation be subtracted without copying it into a Vec.
+func (v Vec) AndNotWords(words []uint64) {
+	for i := range min(len(words), len(v.words)) {
+		v.words[i] &^= words[i]
+	}
+}
+
+// CopyFrom overwrites v with the contents of w without allocating.  The
+// vectors must have equal length.
+func (v Vec) CopyFrom(w Vec) {
+	v.sameLen(w)
+	copy(v.words, w.words)
+}
+
 // Intersects reports whether v and w share at least one set bit.
 func (v Vec) Intersects(w Vec) bool {
 	v.sameLen(w)
@@ -251,6 +280,26 @@ func (v Vec) Ones() []int {
 		}
 	}
 	return out
+}
+
+// Next returns the index of the first set bit at or after from, or -1 when
+// there is none.  Walking a vector with
+//
+//	for i := v.Next(0); i >= 0; i = v.Next(i + 1)
+//
+// visits the indices of Ones without allocating.
+func (v Vec) Next(from int) int {
+	from = max(from, 0)
+	for wi := from / wordBits; wi < len(v.words); wi++ {
+		w := v.words[wi]
+		if wi == from/wordBits {
+			w &^= 1<<(uint(from)%wordBits) - 1
+		}
+		if w != 0 {
+			return wi*wordBits + trailingZeros(w)
+		}
+	}
+	return -1
 }
 
 func popcount(x uint64) int { return bits.OnesCount64(x) }

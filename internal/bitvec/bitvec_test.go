@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -199,5 +200,120 @@ func TestHashDiscriminates(t *testing.T) {
 			}
 			seen[h] = v.Key()
 		}
+	}
+}
+
+// nextWalk collects the set bits of v through Next.
+func nextWalk(v Vec) []int {
+	var out []int
+	for i := v.Next(0); i >= 0; i = v.Next(i + 1) {
+		out = append(out, i)
+	}
+	return out
+}
+
+func TestQuickNextMatchesOnes(t *testing.T) {
+	f := func(bits []bool, edges uint8) bool {
+		v := FromBools(bits)
+		// Force bits on and next to word boundaries, where a walk is most
+		// likely to skip or repeat an index.
+		for _, i := range []int{0, 63, 64, 127, 128, len(bits) - 1} {
+			if i >= 0 && i < v.Len() && edges&1 != 0 {
+				v.Set(i, true)
+			}
+			edges >>= 1
+		}
+		return slices.Equal(nextWalk(v), v.Ones())
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129, 200} {
+		v := New(n)
+		for i := 0; i < n; i++ {
+			v.Set(i, true)
+		}
+		if got := nextWalk(v); !slices.Equal(got, v.Ones()) {
+			t.Fatalf("n=%d: Next walk %v, Ones %v", n, got, v.Ones())
+		}
+		if n > 0 && (v.Next(n-1) != n-1 || v.Next(n) != -1 || v.Next(-5) != 0) {
+			t.Fatalf("n=%d: Next at the ends: %d %d %d", n, v.Next(n-1), v.Next(n), v.Next(-5))
+		}
+	}
+}
+
+func TestCopyFromAndNotWords(t *testing.T) {
+	src := MustFromString("10110")
+	dst := New(5)
+	dst.CopyFrom(src)
+	if !dst.Equal(src) {
+		t.Fatalf("CopyFrom = %s, want %s", dst, src)
+	}
+	dst.Set(1, true)
+	if src.Get(1) {
+		t.Fatal("CopyFrom must not alias its source")
+	}
+	// A prefix longer than the vector is clipped to the vector's words.
+	dst.AndNotWords([]uint64{0b00101, ^uint64(0)})
+	if dst.String() != "01010" {
+		t.Fatalf("AndNotWords = %s, want 01010", dst)
+	}
+	wide := New(130)
+	for i := 0; i < 130; i++ {
+		wide.Set(i, true)
+	}
+	wide.AndNotWords([]uint64{^uint64(0)}) // clears the first word only
+	if wide.Count() != 66 || wide.Get(63) || !wide.Get(64) {
+		t.Fatalf("AndNotWords on a prefix: %d bits left", wide.Count())
+	}
+}
+
+func TestLengthMismatchPanics(t *testing.T) {
+	for name, op := range map[string]func(v, w Vec){
+		"Or":       Vec.Or,
+		"CopyFrom": Vec.CopyFrom,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected a panic on a length mismatch", name)
+				}
+			}()
+			op(New(4), New(5))
+		}()
+	}
+}
+
+func TestSlabVectorsAreIndependent(t *testing.T) {
+	slab := Slab(3, 70)
+	slab[1].Set(69, true)
+	slab[1].Set(0, true)
+	if slab[0].Count() != 0 || slab[2].Count() != 0 || slab[1].Count() != 2 {
+		t.Fatalf("slab rows share bits: %d %d %d", slab[0].Count(), slab[1].Count(), slab[2].Count())
+	}
+	for _, v := range slab {
+		if v.Len() != 70 {
+			t.Fatalf("slab row width %d, want 70", v.Len())
+		}
+	}
+}
+
+func TestNextAndCopyFromDoNotAllocate(t *testing.T) {
+	v, w := New(300), New(300)
+	for _, i := range []int{0, 63, 64, 200, 299} {
+		w.Set(i, true)
+	}
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		v.CopyFrom(w)
+		for i := v.Next(0); i >= 0; i = v.Next(i + 1) {
+			n++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Next/CopyFrom allocate %v times per run", allocs)
+	}
+	if n == 0 {
+		t.Fatal("the walk visited nothing")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"punt/internal/bitvec"
 	"punt/internal/boolcover"
 	"punt/internal/unfolding"
 )
@@ -25,16 +26,6 @@ type signalApprox struct {
 	OffTerms []*approxTerm
 }
 
-// onCover returns the union of all on-set terms.
-func (sa *signalApprox) onCover(nvars int) *boolcover.Cover {
-	return unionTerms(sa.OnTerms, nvars)
-}
-
-// offCover returns the union of all off-set terms.
-func (sa *signalApprox) offCover(nvars int) *boolcover.Cover {
-	return unionTerms(sa.OffTerms, nvars)
-}
-
 func unionTerms(terms []*approxTerm, nvars int) *boolcover.Cover {
 	c := boolcover.NewCover(nvars)
 	for _, t := range terms {
@@ -46,19 +37,16 @@ func unionTerms(terms []*approxTerm, nvars int) *boolcover.Cover {
 // erApproxCube computes the excitation-region cover approximation C*_e of the
 // slice's entry instance: the binary code of its minimal excitation cut with
 // the literals of every signal that has an instance in the slice concurrent
-// to the entry replaced by don't-cares.
-func erApproxCube(u *unfolding.Unfolding, s *Slice) boolcover.Cube {
+// to the entry replaced by don't-cares.  The slice already excludes the
+// entry's past and the events in conflict with it, so its events outside the
+// entry's future are exactly those concurrent to the entry.
+func (d *deriver) erApproxCube(s *Slice) boolcover.Cube {
 	cube := boolcover.CubeFromMinterm(s.MinCode)
-	for _, f := range s.Events {
-		if f == s.Entry {
-			continue
-		}
-		lf := u.Label(f)
-		if lf.IsDummy || lf.Signal == s.Signal {
-			continue
-		}
-		if u.Concurrent(s.Entry, f) {
-			cube.Set(lf.Signal, boolcover.Dash)
+	d.conc.CopyFrom(s.members)
+	d.conc.AndNot(d.cz.Future(s.Entry))
+	for sig, dash := range d.signalsOf(d.conc, s.Signal) {
+		if dash {
+			cube.Set(sig, boolcover.Dash)
 		}
 	}
 	return cube
@@ -67,22 +55,27 @@ func erApproxCube(u *unfolding.Unfolding, s *Slice) boolcover.Cube {
 // concurrentSliceSignals returns, for a condition of the slice, the mask of
 // signals (indexed by signal) that have an instance in the slice concurrent
 // to the condition — the literals weakened to don't-care by the MR
-// approximation.
-func concurrentSliceSignals(u *unfolding.Unfolding, s *Slice, c *unfolding.Condition) []bool {
-	out := make([]bool, u.STG.NumSignals())
-	for _, f := range s.Events {
-		lf := u.Label(f)
-		if lf.IsDummy || lf.Signal == s.Signal {
+// approximation.  The mask is d.dash: it is only valid until the next call.
+func (d *deriver) concurrentSliceSignals(s *Slice, c *unfolding.Condition) []bool {
+	d.conc.CopyFrom(s.members)
+	d.cz.KeepConcurrent(d.conc, c)
+	return d.signalsOf(d.conc, s.Signal)
+}
+
+// signalsOf fills d.dash with the signals other than own that label an event
+// of the set, emptying the set of their events as it goes.
+func (d *deriver) signalsOf(events bitvec.Vec, own int) []bool {
+	clear(d.dash)
+	for id := events.Next(0); id >= 0; id = events.Next(id + 1) {
+		l := d.u.Label(d.u.Events[id])
+		if l.IsDummy || l.Signal == own {
 			continue
 		}
-		if out[lf.Signal] {
-			continue
-		}
-		if u.ConcurrentConditionEvent(c, f) {
-			out[lf.Signal] = true
-		}
+		d.dash[l.Signal] = true
+		// The signal is settled: skip its remaining events.
+		events.AndNot(d.cz.SignalEvents(l.Signal))
 	}
-	return out
+	return d.dash
 }
 
 // mrCube builds one marked-region cube for the condition: the binary code of
@@ -107,11 +100,13 @@ func mrCube(c *unfolding.Condition, dash []bool) boolcover.Cube {
 // consumed while c2 exists, and can only be consumed by leaving the slice or
 // after c2 itself is consumed — then every cut containing c2 also contains
 // c1, so dropping c2 loses no coverage.
-func approximationSet(u *unfolding.Unfolding, s *Slice) []*unfolding.Condition {
+func (d *deriver) approximationSet(s *Slice) []*unfolding.Condition {
 	precedesBoundary := func(c *unfolding.Condition) bool {
-		for _, n := range s.Boundary {
-			if u.ConditionBeforeEvent(c, n) {
-				return true
+		for _, g := range c.Consumers {
+			for _, n := range s.Boundary {
+				if d.cz.Future(g).Get(n.ID) {
+					return true
+				}
 			}
 		}
 		return false
@@ -126,7 +121,7 @@ func approximationSet(u *unfolding.Unfolding, s *Slice) []*unfolding.Condition {
 	}
 	kept := append([]*unfolding.Condition(nil), group1...)
 	for _, c2 := range group2 {
-		if !subsumedBy(u, s, c2, group1) {
+		if !subsumedBy(d.u, s, c2, group1) {
 			kept = append(kept, c2)
 		}
 	}
@@ -184,7 +179,8 @@ func subsumedBy(u *unfolding.Unfolding, s *Slice, c2 *unfolding.Condition, candi
 // (nil, true) when the condition provably contributes no state of the slice's
 // phase and can be skipped; and (nil, false) when the plain approximation
 // must be used instead.
-func boundaryInputTerms(u *unfolding.Unfolding, s *Slice, c *unfolding.Condition) (*boolcover.Cover, bool) {
+func (d *deriver) boundaryInputTerms(s *Slice, c *unfolding.Condition) (*boolcover.Cover, bool) {
+	u := d.u
 	var boundary *unfolding.Event
 	for _, f := range c.Consumers {
 		if s.isBoundary(f) {
@@ -197,6 +193,10 @@ func boundaryInputTerms(u *unfolding.Unfolding, s *Slice, c *unfolding.Condition
 	if boundary == nil {
 		return nil, false
 	}
+	// The events of the whole segment concurrent to c.
+	conc := d.conc
+	conc.CopyFrom(d.cz.Future(u.Root))
+	d.cz.KeepConcurrent(conc, c)
 	// Examine the other input conditions of the boundary instance.
 	var concurrentProducers []*unfolding.Event
 	for _, b := range boundary.Preset {
@@ -210,15 +210,12 @@ func boundaryInputTerms(u *unfolding.Unfolding, s *Slice, c *unfolding.Condition
 		}
 		prod := b.Producer
 		switch {
-		case prod == c.Producer || u.Before(prod, c.Producer) || prod.IsRoot && c.Producer.IsRoot:
-			// Already produced when c appears and never consumed inside the
+		case d.cz.Future(prod).Get(c.Producer.ID):
+			// Already produced when c appears (by c's producer, an event
+			// before it or the initial state) and never consumed inside the
 			// slice: it does not prevent the boundary from being enabled.
 			continue
-		case prod.IsRoot:
-			// Produced by the initial state: same as the "already produced"
-			// case.
-			continue
-		case u.ConcurrentConditionEvent(c, prod):
+		case conc.Get(prod.ID):
 			// The pre-firing value of prod's signal is only determined by the
 			// base code if no other instance of that signal can fire
 			// concurrently to c.
@@ -226,10 +223,11 @@ func boundaryInputTerms(u *unfolding.Unfolding, s *Slice, c *unfolding.Condition
 			if lp.IsDummy {
 				return nil, false
 			}
-			for _, other := range u.EventsOfSignal(lp.Signal) {
-				if other != prod && u.ConcurrentConditionEvent(c, other) {
-					return nil, false
-				}
+			conc.Set(prod.ID, false)
+			other := conc.Intersects(d.cz.SignalEvents(lp.Signal))
+			conc.Set(prod.ID, true)
+			if other {
+				return nil, false
 			}
 			concurrentProducers = append(concurrentProducers, prod)
 		default:
@@ -242,7 +240,7 @@ func boundaryInputTerms(u *unfolding.Unfolding, s *Slice, c *unfolding.Condition
 		// contributes no state of this slice's phase.
 		return nil, true
 	}
-	dash := concurrentSliceSignals(u, s, c)
+	dash := d.concurrentSliceSignals(s, c)
 	cover := boolcover.NewCover(u.STG.NumSignals())
 	restricted := make([]bool, len(dash))
 	for _, tk := range concurrentProducers {
@@ -258,7 +256,8 @@ func boundaryInputTerms(u *unfolding.Unfolding, s *Slice, c *unfolding.Condition
 // transition) followed by the MR approximations of the approximation set,
 // with the boundary-input places handled by the restricted construction of
 // Section 4.2.
-func approximateSlice(u *unfolding.Unfolding, s *Slice) []*approxTerm {
+func (d *deriver) approximateSlice(s *Slice) []*approxTerm {
+	u := d.u
 	nvars := u.STG.NumSignals()
 	var terms []*approxTerm
 	addCover := func(cond *unfolding.Condition, cov *boolcover.Cover) {
@@ -273,16 +272,16 @@ func approximateSlice(u *unfolding.Unfolding, s *Slice) []*approxTerm {
 		addCover(cond, cov)
 	}
 	if !s.Entry.IsRoot {
-		addCube(nil, erApproxCube(u, s))
+		addCube(nil, d.erApproxCube(s))
 	}
-	for _, c := range approximationSet(u, s) {
-		if cov, handled := boundaryInputTerms(u, s, c); handled {
+	for _, c := range d.approximationSet(s) {
+		if cov, handled := d.boundaryInputTerms(s, c); handled {
 			if cov != nil {
 				addCover(c, cov)
 			}
 			continue
 		}
-		addCube(c, mrCube(c, concurrentSliceSignals(u, s, c)))
+		addCube(c, mrCube(c, d.concurrentSliceSignals(s, c)))
 	}
 	if len(terms) == 0 {
 		// Degenerate slice (e.g. the initial slice of a signal that changes
@@ -296,13 +295,13 @@ func approximateSlice(u *unfolding.Unfolding, s *Slice) []*approxTerm {
 
 // approximateSignal builds the approximated on- and off-set covers of one
 // signal from its slices.
-func approximateSignal(u *unfolding.Unfolding, signal int, on, off []*Slice) *signalApprox {
+func (d *deriver) approximateSignal(signal int, on, off []*Slice) *signalApprox {
 	sa := &signalApprox{Signal: signal}
 	for _, s := range on {
-		sa.OnTerms = append(sa.OnTerms, approximateSlice(u, s)...)
+		sa.OnTerms = append(sa.OnTerms, d.approximateSlice(s)...)
 	}
 	for _, s := range off {
-		sa.OffTerms = append(sa.OffTerms, approximateSlice(u, s)...)
+		sa.OffTerms = append(sa.OffTerms, d.approximateSlice(s)...)
 	}
 	return sa
 }

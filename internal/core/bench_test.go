@@ -9,10 +9,11 @@ import (
 	"punt/internal/unfolding"
 )
 
-// BenchmarkCoversFor times cover derivation alone — slicing, approximation
-// and refinement of every output signal — over a segment built once outside
-// the timer, so the unfolding cost is excluded.  These are the two largest
-// specs of the Figure 6 series, where this phase dominates synthesis.
+// BenchmarkCoversFor times cover derivation alone — the causality index,
+// then slicing, approximation and refinement of every output signal — over a
+// segment built once outside the timer, so the unfolding cost is excluded.
+// These are the two largest specs of the Figure 6 series, where this phase
+// dominates synthesis.
 func BenchmarkCoversFor(b *testing.B) {
 	specs := []struct {
 		name string
@@ -32,8 +33,9 @@ func BenchmarkCoversFor(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				cz := u.Causality()
 				for _, sig := range outputs {
-					if _, _, _, _, _, err := s.coversFor(u, sig); err != nil {
+					if _, _, _, _, _, err := s.coversFor(u, cz, sig); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -110,7 +110,7 @@ func TestFig1ExactSliceStatesMatchPaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := g.SignalIndex("b")
-	onSlices, offSlices := buildSlices(u, b)
+	onSlices, offSlices := newDeriver(u, u.Causality()).buildSlices(b)
 	if len(onSlices) != 2 {
 		t.Fatalf("on-slices = %d, want 2", len(onSlices))
 	}

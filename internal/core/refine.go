@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"punt/internal/boolcover"
 	"punt/internal/unfolding"
 )
 
@@ -24,8 +23,6 @@ type refineStats struct {
 	// TermsRefined is the number of approximation terms that had to be
 	// replaced by exactly enumerated covers.
 	TermsRefined int
-	// Rounds is the number of interference checks performed.
-	Rounds int
 }
 
 // refineTerm replaces the approximated single-cube cover of a term by the
@@ -60,7 +57,6 @@ func refineTerm(u *unfolding.Unfolding, t *approxTerm) {
 func refine(u *unfolding.Unfolding, sa *signalApprox) (*refineStats, error) {
 	stats := &refineStats{}
 	for {
-		stats.Rounds++
 		conflictOn, conflictOff := findInterference(sa)
 		if conflictOn == nil {
 			return stats, nil
@@ -97,19 +93,4 @@ func findInterference(sa *signalApprox) (*approxTerm, *approxTerm) {
 		}
 	}
 	return exactPairOn, exactPairOff
-}
-
-// interferenceFree reports whether the approximated covers are already
-// correct in the sense of Definition 2.1 with the stronger empty-intersection
-// condition used by the approximation flow.
-func interferenceFree(sa *signalApprox, nvars int) bool {
-	on := sa.onCover(nvars)
-	off := sa.offCover(nvars)
-	return !on.Intersects(off)
-}
-
-// coverPair returns the final on/off covers of the signal after
-// approximation/refinement.
-func coverPair(sa *signalApprox, nvars int) (on, off *boolcover.Cover) {
-	return sa.onCover(nvars), sa.offCover(nvars)
 }

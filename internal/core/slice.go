@@ -13,6 +13,13 @@
 // slices, exact.go enumerates their states (Section 4.1 of the paper),
 // approx.go approximates their covers (Section 4.2) and refine.go refines the
 // approximations where they interfere (Section 4.3).
+//
+// Slices and approximations are set algebra over the segment's causality
+// index (unfolding.Causality): a slice's events are a per-signal base set
+// minus the futures of its boundary instances, the entry's past and the
+// entry's conflict set; the events concurrent to a condition are a slice (or
+// the whole segment) minus the futures of its consumers, its producer's past
+// and its producer's conflict set.  Each is a few passes over E/64 words.
 package core
 
 import (
@@ -55,101 +62,101 @@ type Slice struct {
 	Conditions []*unfolding.Condition
 }
 
+// deriver holds what cover derivation reads about the segment — the segment
+// and its causality index — and the scratch buffers of the approximation,
+// which are reused from one condition to the next.
+type deriver struct {
+	u  *unfolding.Unfolding
+	cz *unfolding.Causality
+	// conc is the set of events concurrent to the event or condition at hand.
+	conc bitvec.Vec
+	// dash is the signal mask signalsOf fills and returns; it is only valid
+	// until the next call.
+	dash []bool
+}
+
+func newDeriver(u *unfolding.Unfolding, cz *unfolding.Causality) *deriver {
+	return &deriver{u: u, cz: cz, conc: bitvec.New(len(u.Events)), dash: make([]bool, u.STG.NumSignals())}
+}
+
 // buildSlices partitions the segment into the on- and off-slices of the given
 // signal.
-func buildSlices(u *unfolding.Unfolding, signal int) (on, off []*Slice) {
-	g := u.STG
-	initial := g.InitialState().Get(signal)
+func (d *deriver) buildSlices(signal int) (on, off []*Slice) {
+	u := d.u
+	initial := u.STG.InitialState().Get(signal)
+
+	// base holds the events that may fire inside some slice of the signal.
+	// Other instances of the signal never do, and nor do cut-off events: the
+	// states beyond them are represented by the configurations of their
+	// correspondents (McMillan's completeness argument), so excluding them
+	// loses no states and keeps every visited cut inside the fully expanded
+	// part of the segment.
+	base := d.cz.Future(u.Root).Clone()
+	base.Set(u.Root.ID, false)
+	base.AndNot(d.cz.SignalEvents(signal))
+	for _, f := range u.Events {
+		if f.IsCutoff {
+			base.Set(f.ID, false)
+		}
+	}
 
 	for _, e := range u.EventsOfEdge(signal, stg.Plus) {
-		on = append(on, newSlice(u, signal, true, e))
+		on = append(on, d.newSlice(base, signal, true, e))
 	}
 	for _, e := range u.EventsOfEdge(signal, stg.Minus) {
-		off = append(off, newSlice(u, signal, false, e))
+		off = append(off, d.newSlice(base, signal, false, e))
 	}
 	// The initial slice: the phase the signal is in at the initial state,
 	// entered by the (virtual) initial transition.
 	if initial {
-		on = append(on, newSlice(u, signal, true, u.Root))
+		on = append(on, d.newSlice(base, signal, true, u.Root))
 	} else {
-		off = append(off, newSlice(u, signal, false, u.Root))
+		off = append(off, d.newSlice(base, signal, false, u.Root))
 	}
 	return on, off
 }
 
 // newSlice constructs the slice entered by the given event for the given
-// signal phase.
-func newSlice(u *unfolding.Unfolding, signal int, phase bool, entry *unfolding.Event) *Slice {
+// signal phase.  Its events are the base events that lie neither beyond a
+// boundary instance, nor before the entry, nor on another branch of a choice
+// than the entry, plus the entry itself.
+func (d *deriver) newSlice(base bitvec.Vec, signal int, phase bool, entry *unfolding.Event) *Slice {
+	u, cz := d.u, d.cz
 	s := &Slice{Signal: signal, Phase: phase, Entry: entry}
 	if entry.IsRoot {
 		s.MinCut = u.MinStableCut(entry)
 		s.MinCode = entry.Code.Clone()
-		s.Boundary = u.First(signal)
 	} else {
 		s.MinCut = u.MinExcitationCut(entry)
 		s.MinCode = u.ParentCode(entry)
-		s.Boundary = u.Next(entry)
 	}
+	s.Boundary = cz.Next(entry, signal)
 
-	beyond := func(f *unfolding.Event) bool {
-		for _, n := range s.Boundary {
-			if n == f || u.Before(n, f) {
-				return true
-			}
-		}
-		return false
+	s.members = base.Clone()
+	for _, n := range s.Boundary {
+		s.members.AndNot(cz.Future(n))
 	}
-
-	s.members = bitvec.New(len(u.Events))
-	for _, f := range u.Events {
-		if f.IsRoot {
-			continue
-		}
-		if f.IsCutoff && f != entry {
-			// Cut-off events never fire inside a slice: the states beyond them
-			// are represented by the configurations of their correspondents
-			// (McMillan's completeness argument), so excluding them loses no
-			// states and keeps every visited cut inside the fully expanded
-			// part of the segment.
-			continue
-		}
-		lf := u.Label(f)
-		if !lf.IsDummy && lf.Signal == signal && f != entry {
-			continue // other instances of the signal never fire inside the slice
-		}
-		if beyond(f) {
-			continue
-		}
-		if !entry.IsRoot {
-			if f != entry {
-				if u.Before(f, entry) {
-					continue // already fired before the slice is entered
-				}
-				if u.InConflict(entry, f) {
-					continue // belongs to a different branch of a choice
-				}
-			}
-		}
-		s.members.Set(f.ID, true)
+	cz.AndNotPast(s.members, entry)
+	s.members.AndNot(cz.Conflict(entry))
+	if !entry.IsRoot {
+		s.members.Set(entry.ID, true)
 	}
-	// u.Events is indexed by ID, so this keeps Events in ID order.
 	s.Events = make([]*unfolding.Event, 0, s.members.Count())
-	for _, f := range u.Events {
-		if s.members.Get(f.ID) {
-			s.Events = append(s.Events, f)
-		}
+	for id := s.members.Next(0); id >= 0; id = s.members.Next(id + 1) {
+		s.Events = append(s.Events, u.Events[id])
 	}
 
 	// The approximation-set candidates are the conditions sequential to the
-	// entry: produced by the entry itself or by a slice event causally after
-	// it (for the root entry, every condition produced by the root or by a
+	// entry: produced by the entry itself or by a slice event in its future
+	// (for the root entry, every condition produced by the root or by a
 	// slice event qualifies).  A condition is created with its producer, so
 	// walking the producers in ID order lists the conditions in ID order.
 	if entry.IsRoot {
 		s.Conditions = append(s.Conditions, entry.Postset...)
 	}
+	future := cz.Future(entry)
 	for _, f := range s.Events {
-		if entry.IsRoot || f == entry || u.Before(entry, f) {
+		if future.Get(f.ID) {
 			s.Conditions = append(s.Conditions, f.Postset...)
 		}
 	}

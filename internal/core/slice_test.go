@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"punt/internal/benchgen"
+	"punt/internal/boolcover"
 	"punt/internal/stg"
 	"punt/internal/unfolding"
 )
@@ -36,19 +39,131 @@ func sliceCorpus() []corpusSpec {
 	return specs
 }
 
+// oracleCorpus is sliceCorpus plus the paper's Figure 1 and a choice
+// controller: the specs whose segments have conditions with two consumers,
+// so that slices and approximations meet conflicts.
+func oracleCorpus() []corpusSpec {
+	return append(sliceCorpus(),
+		corpusSpec{"fig1", benchgen.PaperFig1()},
+		corpusSpec{"choice-16", benchgen.ChoiceController("choice-16", 16, 11)})
+}
+
+// pairwise is the one-pair-at-a-time relation layer that the causality index
+// replaced, kept as the oracle of the slice and approximation tests.
+type pairwise struct {
+	u         *unfolding.Unfolding
+	anyChoice bool
+	conflicts map[[2]int]bool
+}
+
+func newPairwise(u *unfolding.Unfolding) *pairwise {
+	p := &pairwise{u: u, conflicts: map[[2]int]bool{}}
+	for _, c := range u.Conditions {
+		p.anyChoice = p.anyChoice || len(c.Consumers) > 1
+	}
+	return p
+}
+
+// local returns the local configuration [e] of a non-root event.
+func (p *pairwise) local(e *unfolding.Event) []*unfolding.Event {
+	var out []*unfolding.Event
+	for _, g := range p.u.Events {
+		if g == e || !g.IsRoot && p.u.Before(g, e) {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// inConflict reports whether some condition is consumed by an event of [e]
+// and by a different event of [f].
+func (p *pairwise) inConflict(e, f *unfolding.Event) bool {
+	u := p.u
+	if !p.anyChoice || e == f || e.IsRoot || f.IsRoot || u.Before(e, f) || u.Before(f, e) {
+		return false
+	}
+	key := [2]int{min(e.ID, f.ID), max(e.ID, f.ID)}
+	if v, ok := p.conflicts[key]; ok {
+		return v
+	}
+	consumedBy := map[*unfolding.Condition]*unfolding.Event{}
+	for _, g := range p.local(e) {
+		for _, c := range g.Preset {
+			consumedBy[c] = g
+		}
+	}
+	conflict := false
+	for _, g := range p.local(f) {
+		for _, c := range g.Preset {
+			if other, ok := consumedBy[c]; ok && other != g {
+				conflict = true
+			}
+		}
+	}
+	p.conflicts[key] = conflict
+	return conflict
+}
+
+// concurrent reports whether two events are neither ordered nor in conflict.
+func (p *pairwise) concurrent(e, f *unfolding.Event) bool {
+	if e == f || e.IsRoot || f.IsRoot {
+		return false
+	}
+	return !p.u.Before(e, f) && !p.u.Before(f, e) && !p.inConflict(e, f)
+}
+
+// conditionBeforeEvent reports whether some consumer of c lies in [f].
+func (p *pairwise) conditionBeforeEvent(c *unfolding.Condition, f *unfolding.Event) bool {
+	for _, g := range c.Consumers {
+		if g == f || p.u.Before(g, f) {
+			return true
+		}
+	}
+	return false
+}
+
+// next returns the instances of the signal after e that no other such
+// instance precedes: next(e), or first(signal) for the root.
+func (p *pairwise) next(e *unfolding.Event, signal int) []*unfolding.Event {
+	var candidates, out []*unfolding.Event
+	for _, f := range p.u.EventsOfSignal(signal) {
+		if f != e && p.u.Before(e, f) {
+			candidates = append(candidates, f)
+		}
+	}
+	for _, f := range candidates {
+		if !slices.ContainsFunc(candidates, func(g *unfolding.Event) bool { return p.u.Before(g, f) }) {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// concurrentConditionEvent reports whether f can fire while c stays marked.
+func (p *pairwise) concurrentConditionEvent(c *unfolding.Condition, f *unfolding.Event) bool {
+	u := p.u
+	if f.IsRoot || p.conditionBeforeEvent(c, f) {
+		return false
+	}
+	if c.Producer == f || u.Before(f, c.Producer) {
+		return false // f precedes c
+	}
+	return c.Producer.IsRoot || !p.inConflict(c.Producer, f)
+}
+
 // refNewSlice is the map-based slice construction newSlice replaced, kept
 // as the oracle of TestNewSliceMatchesReference.
-func refNewSlice(u *unfolding.Unfolding, signal int, phase bool, entry *unfolding.Event) *Slice {
+func refNewSlice(p *pairwise, signal int, phase bool, entry *unfolding.Event) *Slice {
+	u := p.u
 	s := &Slice{Signal: signal, Phase: phase, Entry: entry}
 	if entry.IsRoot {
 		s.MinCut = u.MinStableCut(entry)
 		s.MinCode = entry.Code.Clone()
-		s.Boundary = u.First(signal)
 	} else {
 		s.MinCut = u.MinExcitationCut(entry)
 		s.MinCode = u.ParentCode(entry)
-		s.Boundary = u.Next(entry)
 	}
+	s.Boundary = p.next(entry, signal)
 	beyond := func(f *unfolding.Event) bool {
 		for _, n := range s.Boundary {
 			if n == f || u.Before(n, f) {
@@ -68,7 +183,7 @@ func refNewSlice(u *unfolding.Unfolding, signal int, phase bool, entry *unfoldin
 		if beyond(f) {
 			continue
 		}
-		if !entry.IsRoot && f != entry && (u.Before(f, entry) || u.InConflict(entry, f)) {
+		if !entry.IsRoot && f != entry && (u.Before(f, entry) || p.inConflict(entry, f)) {
 			continue
 		}
 		s.Events = append(s.Events, f)
@@ -98,19 +213,135 @@ func refNewSlice(u *unfolding.Unfolding, signal int, phase bool, entry *unfoldin
 	return s
 }
 
-// TestNewSliceMatchesReference pins the bitset slice construction to the
-// map-based one on every slice of every signal of the corpus.
+// refErApproxCube is the pairwise ER approximation erApproxCube replaced.
+func refErApproxCube(p *pairwise, s *Slice) boolcover.Cube {
+	cube := boolcover.CubeFromMinterm(s.MinCode)
+	for _, f := range s.Events {
+		if f == s.Entry {
+			continue
+		}
+		lf := p.u.Label(f)
+		if lf.IsDummy || lf.Signal == s.Signal {
+			continue
+		}
+		if p.concurrent(s.Entry, f) {
+			cube.Set(lf.Signal, boolcover.Dash)
+		}
+	}
+	return cube
+}
+
+// refApproximationSet is the approximation-set selection with the pairwise
+// "condition precedes a boundary instance" test approximationSet replaced.
+func refApproximationSet(p *pairwise, s *Slice) []*unfolding.Condition {
+	var group1, group2 []*unfolding.Condition
+	for _, c := range s.Conditions {
+		if slices.ContainsFunc(s.Boundary, func(n *unfolding.Event) bool { return p.conditionBeforeEvent(c, n) }) {
+			group1 = append(group1, c)
+		} else {
+			group2 = append(group2, c)
+		}
+	}
+	kept := append([]*unfolding.Condition(nil), group1...)
+	for _, c2 := range group2 {
+		if !subsumedBy(p.u, s, c2, group1) {
+			kept = append(kept, c2)
+		}
+	}
+	return kept
+}
+
+// refConcurrentSliceSignals is the pairwise MR dash mask
+// concurrentSliceSignals replaced.
+func refConcurrentSliceSignals(p *pairwise, s *Slice, c *unfolding.Condition) []bool {
+	out := make([]bool, p.u.STG.NumSignals())
+	for _, f := range s.Events {
+		lf := p.u.Label(f)
+		if lf.IsDummy || lf.Signal == s.Signal || out[lf.Signal] {
+			continue
+		}
+		if p.concurrentConditionEvent(c, f) {
+			out[lf.Signal] = true
+		}
+	}
+	return out
+}
+
+// refBoundaryInputTerms is the pairwise boundary-input construction
+// boundaryInputTerms replaced: one "already produced" case per way a sibling
+// input can precede c, and one concurrency query per instance of a
+// concurrent producer's signal.
+func refBoundaryInputTerms(p *pairwise, s *Slice, c *unfolding.Condition) (*boolcover.Cover, bool) {
+	u := p.u
+	var boundary *unfolding.Event
+	for _, f := range c.Consumers {
+		if s.isBoundary(f) {
+			if boundary != nil && boundary != f {
+				return nil, false
+			}
+			boundary = f
+		}
+	}
+	if boundary == nil {
+		return nil, false
+	}
+	var concurrentProducers []*unfolding.Event
+	for _, b := range boundary.Preset {
+		if b == c {
+			continue
+		}
+		if len(b.Consumers) != 1 {
+			return nil, false
+		}
+		prod := b.Producer
+		switch {
+		case prod == c.Producer || u.Before(prod, c.Producer) || prod.IsRoot && c.Producer.IsRoot:
+			continue
+		case prod.IsRoot:
+			continue
+		case p.concurrentConditionEvent(c, prod):
+			lp := u.Label(prod)
+			if lp.IsDummy {
+				return nil, false
+			}
+			for _, other := range u.EventsOfSignal(lp.Signal) {
+				if other != prod && p.concurrentConditionEvent(c, other) {
+					return nil, false
+				}
+			}
+			concurrentProducers = append(concurrentProducers, prod)
+		default:
+			return nil, false
+		}
+	}
+	if len(concurrentProducers) == 0 {
+		return nil, true
+	}
+	dash := refConcurrentSliceSignals(p, s, c)
+	cover := boolcover.NewCover(u.STG.NumSignals())
+	restricted := make([]bool, len(dash))
+	for _, tk := range concurrentProducers {
+		copy(restricted, dash)
+		restricted[u.Label(tk).Signal] = false
+		cover.Add(mrCube(c, restricted))
+	}
+	return cover, true
+}
+
+// TestNewSliceMatchesReference pins the set-algebra slice construction to
+// the pairwise one on every slice of every signal of the corpus.
 func TestNewSliceMatchesReference(t *testing.T) {
-	for _, spec := range sliceCorpus() {
+	for _, spec := range oracleCorpus() {
 		u, err := unfolding.Build(context.Background(), spec.g, unfolding.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", spec.name, err)
 		}
+		d, p := newDeriver(u, u.Causality()), newPairwise(u)
 		for sig := 0; sig < spec.g.NumSignals(); sig++ {
-			on, off := buildSlices(u, sig)
+			on, off := d.buildSlices(sig)
 			for _, s := range append(on, off...) {
 				where := fmt.Sprintf("%s signal %d entry %s", spec.name, sig, u.EventName(s.Entry))
-				ref := refNewSlice(u, sig, s.Phase, s.Entry)
+				ref := refNewSlice(p, sig, s.Phase, s.Entry)
 				switch {
 				case !slices.Equal(s.Events, ref.Events):
 					t.Fatalf("%s: Events differ", where)
@@ -128,6 +359,134 @@ func TestNewSliceMatchesReference(t *testing.T) {
 						t.Fatalf("%s: membership of %s disagrees with Events", where, u.EventName(f))
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestApproximationMatchesReference pins the ER cube and the approximation
+// set of every slice, and the MR dash mask and boundary-input terms of every
+// approximation-set condition, to the pairwise derivations they replaced.
+func TestApproximationMatchesReference(t *testing.T) {
+	masks, handled, restricted := 0, 0, 0
+	for _, spec := range oracleCorpus() {
+		u, err := unfolding.Build(context.Background(), spec.g, unfolding.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", spec.name, err)
+		}
+		d, p := newDeriver(u, u.Causality()), newPairwise(u)
+		for sig := 0; sig < spec.g.NumSignals(); sig++ {
+			on, off := d.buildSlices(sig)
+			for _, s := range append(on, off...) {
+				where := fmt.Sprintf("%s signal %d entry %s", spec.name, sig, u.EventName(s.Entry))
+				if !s.Entry.IsRoot {
+					if got, want := d.erApproxCube(s), refErApproxCube(p, s); !got.Equal(want) {
+						t.Fatalf("%s: ER cube %s, want %s", where, got, want)
+					}
+				}
+				set := d.approximationSet(s)
+				if want := refApproximationSet(p, s); !slices.Equal(set, want) {
+					t.Fatalf("%s: approximation set differs", where)
+				}
+				for _, c := range set {
+					got, want := d.concurrentSliceSignals(s, c), refConcurrentSliceSignals(p, s, c)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s condition %s: dash mask %v, want %v", where, u.ConditionName(c), got, want)
+					}
+					masks++
+					gotCov, gotOK := d.boundaryInputTerms(s, c)
+					wantCov, wantOK := refBoundaryInputTerms(p, s, c)
+					if gotOK != wantOK || (gotCov == nil) != (wantCov == nil) ||
+						gotCov != nil && gotCov.String() != wantCov.String() {
+						t.Fatalf("%s condition %s: boundary terms (%v, %v), want (%v, %v)",
+							where, u.ConditionName(c), gotCov, gotOK, wantCov, wantOK)
+					}
+					if gotOK {
+						handled++
+						if gotCov != nil {
+							restricted++
+						}
+					}
+				}
+			}
+		}
+	}
+	if masks == 0 || handled == 0 || restricted == 0 {
+		t.Fatalf("the corpus exercises %d approximation-set conditions, %d handled boundary inputs, %d restricted covers",
+			masks, handled, restricted)
+	}
+}
+
+// TestConcurrentSliceSignalsAllocFree pins the MR dash mask to its scratch
+// buffers: after the first call, deriving it allocates nothing.
+func TestConcurrentSliceSignalsAllocFree(t *testing.T) {
+	g := benchgen.MullerPipelineWithSignals(22)
+	u, err := unfolding.Build(context.Background(), g, unfolding.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newDeriver(u, u.Causality())
+	on, _ := d.buildSlices(g.OutputSignals()[0])
+	s := on[0]
+	conds := d.approximationSet(s)
+	if len(conds) == 0 {
+		t.Fatal("the slice has no approximation-set condition")
+	}
+	d.concurrentSliceSignals(s, conds[0])
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, c := range conds {
+			d.concurrentSliceSignals(s, c)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("concurrentSliceSignals allocates %v times per pass", allocs)
+	}
+}
+
+// TestCoversShareSegmentAcrossGoroutines derives covers from one segment on
+// four goroutines at once, each with its own causality index, and compares
+// them with a serial run.  Under the race detector it shows that cover
+// derivation only reads the segment.
+func TestCoversShareSegmentAcrossGoroutines(t *testing.T) {
+	for _, g := range []*stg.STG{benchgen.CounterflowPipeline(), benchgen.PaperFig1()} {
+		u, err := unfolding.Build(context.Background(), g, unfolding.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		syn := New(Options{})
+		derive := func() (string, error) {
+			cz := u.Causality()
+			var sb strings.Builder
+			for _, sig := range g.OutputSignals() {
+				on, off, _, _, _, err := syn.coversFor(u, cz, sig)
+				if err != nil {
+					return "", err
+				}
+				fmt.Fprintf(&sb, "%s: on %s off %s\n", g.Signal(sig).Name, on, off)
+			}
+			return sb.String(), nil
+		}
+		want, err := derive()
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name(), err)
+		}
+		got := make([]string, 4)
+		errs := make([]error, len(got))
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = derive()
+			}()
+		}
+		wg.Wait()
+		for i := range got {
+			if errs[i] != nil {
+				t.Fatalf("%s goroutine %d: %v", g.Name(), i, errs[i])
+			}
+			if got[i] != want {
+				t.Fatalf("%s goroutine %d: covers differ from the serial run:\n%s\nwant\n%s", g.Name(), i, got[i], want)
 			}
 		}
 	}

@@ -135,12 +135,8 @@ func (s *Synthesizer) Synthesize(ctx context.Context, g *stg.STG) (*gatelib.Impl
 	stats := &Stats{}
 	totalStart := time.Now()
 
-	uopts := unfolding.Options{MaxEvents: s.Options.MaxEvents, Workers: s.Options.Workers}
-	if p := s.Options.Progress; p != nil {
-		uopts.Progress = func(events int) { p("unfold", "", events) }
-	}
 	unfStart := time.Now()
-	u, err := unfolding.Build(ctx, g, uopts)
+	u, err := Unfold(ctx, g, s.Options)
 	stats.UnfTime = time.Since(unfStart)
 	if err != nil {
 		return nil, stats, err
@@ -153,6 +149,10 @@ func (s *Synthesizer) Synthesize(ctx context.Context, g *stg.STG) (*gatelib.Impl
 			return nil, stats, &SemiModularityError{Violations: v}
 		}
 	}
+
+	synStart := time.Now()
+	cz := u.Causality()
+	stats.SynTime += time.Since(synStart)
 
 	im := &gatelib.Implementation{Name: g.Name(), SignalNames: g.SignalNames()}
 	nvars := g.NumSignals()
@@ -167,7 +167,7 @@ func (s *Synthesizer) Synthesize(ctx context.Context, g *stg.STG) (*gatelib.Impl
 			p("covers", g.Signal(sig).Name, stats.Events)
 		}
 		synStart := time.Now()
-		on, off, erPlus, erMinus, refined, err := s.coversFor(u, sig)
+		on, off, erPlus, erMinus, refined, err := s.coversFor(u, cz, sig)
 		stats.SynTime += time.Since(synStart)
 		if err != nil {
 			return nil, stats, err
@@ -188,11 +188,12 @@ func (s *Synthesizer) Synthesize(ctx context.Context, g *stg.STG) (*gatelib.Impl
 
 // coversFor derives the on/off-set covers (and, for memory-element
 // architectures, the excitation-region covers) of one signal.
-func (s *Synthesizer) coversFor(u *unfolding.Unfolding, sig int) (on, off, erPlus, erMinus *boolcover.Cover, refined int, err error) {
+func (s *Synthesizer) coversFor(u *unfolding.Unfolding, cz *unfolding.Causality, sig int) (on, off, erPlus, erMinus *boolcover.Cover, refined int, err error) {
 	g := u.STG
 	nvars := g.NumSignals()
 
-	onSlices, offSlices := buildSlices(u, sig)
+	d := newDeriver(u, cz)
+	onSlices, offSlices := d.buildSlices(sig)
 
 	// Signals that never switch are constant: their cover is the constant of
 	// their initial value and the opposite set is empty.
@@ -217,13 +218,13 @@ func (s *Synthesizer) coversFor(u *unfolding.Unfolding, sig int) (on, off, erPlu
 			return nil, nil, nil, nil, 0, &CSCError{Signal: g.Signal(sig).Name}
 		}
 	default:
-		sa := approximateSignal(u, sig, onSlices, offSlices)
+		sa := d.approximateSignal(sig, onSlices, offSlices)
 		rs, rerr := refine(u, sa)
 		if rerr != nil {
 			return nil, nil, nil, nil, rs.TermsRefined, rerr
 		}
 		refined = rs.TermsRefined
-		on, off = coverPair(sa, nvars)
+		on, off = unionTerms(sa.OnTerms, nvars), unionTerms(sa.OffTerms, nvars)
 	}
 
 	if s.Options.Arch != gatelib.ComplexGate {

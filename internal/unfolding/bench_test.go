@@ -74,27 +74,35 @@ func BenchmarkTable1Unfold(b *testing.B) {
 	}
 }
 
-var sinkStats Stats
+var sinkCount int
 
-// BenchmarkRelationQueries measures the relation predicates downstream
-// consumers (slicing, cover derivation) issue against the segment.
-func BenchmarkRelationQueries(b *testing.B) {
-	u, err := Build(context.Background(), benchgen.MullerPipelineWithSignals(22), Options{})
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkCausality measures building the causality index and every
+// event's conflict set on the two largest Figure 6 specs: the per-segment
+// set-up that cover derivation pays once per synthesis.
+func BenchmarkCausality(b *testing.B) {
+	cases := []struct {
+		name string
+		g    *stg.STG
+	}{
+		{"pipeline-50", benchgen.MullerPipelineWithSignals(50)},
+		{"counterflow", benchgen.CounterflowPipeline()},
 	}
-	events := u.Events[1:]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		for _, e := range events {
-			for _, f := range events {
-				if u.Concurrent(e, f) {
-					n++
-				}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			u, err := Build(context.Background(), c.g, Options{})
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
-		sinkStats.Events = n
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cz := u.Causality()
+				n := 0
+				for _, e := range u.Events {
+					n += cz.Conflict(e).Count()
+				}
+				sinkCount = n
+			}
+		})
 	}
 }

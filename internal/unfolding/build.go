@@ -163,6 +163,8 @@ type builder struct {
 	// prunes its candidates by intersecting these sets with co-sets instead
 	// of rescanning per-place condition lists.
 	placeConds map[petri.PlaceID]*idSet
+	// co[c.ID] is the set of condition IDs concurrent with condition c.
+	co []*idSet
 
 	// cutSets[e.ID] / consumedSets[e.ID] hold, in bit-set form, the cut of
 	// [e] and the conditions consumed by [e].  They drive the incremental
@@ -259,7 +261,7 @@ func (b *builder) createRoot() error {
 	for _, c1 := range root.Postset {
 		for _, c2 := range root.Postset {
 			if c1 != c2 {
-				b.u.co[c1.ID].add(c2.ID)
+				b.co[c1.ID].add(c2.ID)
 			}
 		}
 	}
@@ -283,7 +285,7 @@ func (b *builder) createRoot() error {
 func (b *builder) newCondition(p petri.PlaceID, producer *Event) *Condition {
 	c := &Condition{ID: len(b.u.Conditions), Place: p, Producer: producer}
 	b.u.Conditions = append(b.u.Conditions, c)
-	b.u.co = append(b.u.co, newIDSet())
+	b.co = append(b.co, newIDSet())
 	return c
 }
 
@@ -500,9 +502,9 @@ func (b *builder) newEventFor(pe *possibleExtension) (*Event, error) {
 	// Create the postset conditions and leave the intersection of the preset
 	// co-sets in b.common for the tails.
 	common := &b.common
-	common.copyFrom(b.u.co[pe.preset[0].ID])
+	common.copyFrom(b.co[pe.preset[0].ID])
 	for _, c := range pe.preset[1:] {
-		common.andWith(b.u.co[c.ID])
+		common.andWith(b.co[c.ID])
 	}
 	for _, p := range b.net.Post(pe.transition) {
 		c := b.newCondition(p, e)
@@ -520,7 +522,7 @@ func (b *builder) finishSequential(pe *possibleExtension, e *Event) error {
 	// would mean the place can hold two tokens at once: the net is not safe.
 	common := &b.common
 	for _, c := range e.Postset {
-		co := b.u.co[c.ID]
+		co := b.co[c.ID]
 		co.copyFrom(common)
 		for _, sib := range e.Postset {
 			if sib != c {
@@ -532,7 +534,7 @@ func (b *builder) finishSequential(pe *possibleExtension, e *Event) error {
 	unsafe := false
 	common.forEach(func(otherID int) {
 		other := b.u.Conditions[otherID]
-		row := b.u.co[otherID]
+		row := b.co[otherID]
 		for _, c := range e.Postset {
 			if other.Place == c.Place {
 				unsafe = true
@@ -631,7 +633,7 @@ func (b *builder) searchTransition(t petri.TransitionID, c *Condition, sc *searc
 		return
 	}
 	chosen := make([]*Condition, 0, len(others))
-	b.chooseCoset(t, c, others, chosen, b.u.co[c.ID], sc, emit)
+	b.chooseCoset(t, c, others, chosen, b.co[c.ID], sc, emit)
 }
 
 // searchScratch is the per-recursion-depth scratch of one chooseCoset caller;
@@ -667,7 +669,7 @@ func (b *builder) chooseCoset(t petri.TransitionID, c *Condition, remaining []pe
 		return
 	}
 	cands.forEach(func(id int) {
-		nextCo.intersectInto(coAcc, b.u.co[id])
+		nextCo.intersectInto(coAcc, b.co[id])
 		b.chooseCoset(t, c, remaining[1:], append(chosen, b.u.Conditions[id]), nextCo, sc, emit)
 	})
 }

@@ -244,7 +244,7 @@ func (b *builder) finishParallel(pe *possibleExtension, e *Event) error {
 	p := b.pool
 	common := &b.common
 	for _, c := range e.Postset {
-		co := b.u.co[c.ID]
+		co := b.co[c.ID]
 		co.copyFrom(common)
 		for _, sib := range e.Postset {
 			if sib != c {
@@ -287,7 +287,7 @@ func (b *builder) finishParallel(pe *possibleExtension, e *Event) error {
 		shard.forEach(func(off int) {
 			otherID := lo*64 + off
 			other := b.u.Conditions[otherID]
-			row := b.u.co[otherID]
+			row := b.co[otherID]
 			for _, c := range post {
 				if other.Place == c.Place {
 					p.coUnsafe[i-1] = c.Place
@@ -318,7 +318,7 @@ func (b *builder) finishSmall(pe *possibleExtension, e *Event) error {
 	unsafe := false
 	common.forEach(func(otherID int) {
 		other := b.u.Conditions[otherID]
-		row := b.u.co[otherID]
+		row := b.co[otherID]
 		for _, c := range e.Postset {
 			if other.Place == c.Place {
 				unsafe = true

@@ -2,7 +2,6 @@ package unfolding
 
 import (
 	"slices"
-	"sort"
 
 	"punt/internal/bitvec"
 	"punt/internal/stg"
@@ -21,187 +20,6 @@ func (u *Unfolding) Before(e, f *Event) bool {
 		return false
 	}
 	return f.Local.has(e.ID)
-}
-
-// InConflict reports whether two events are in structural conflict: their
-// local configurations consume some condition through different events, so no
-// single run can fire both.
-func (u *Unfolding) InConflict(e, f *Event) bool {
-	if e == f || e.IsRoot || f.IsRoot {
-		return false
-	}
-	if !u.hasAnyConflict() {
-		return false
-	}
-	if u.Before(e, f) || u.Before(f, e) {
-		return false
-	}
-	key := pairKey(e.ID, f.ID)
-	if u.conflictCache == nil {
-		u.conflictCache = map[uint64]bool{}
-	}
-	if v, ok := u.conflictCache[key]; ok {
-		return v
-	}
-	v := u.computeConflict(e, f)
-	u.conflictCache[key] = v
-	return v
-}
-
-// hasAnyConflict reports whether the segment contains any condition with more
-// than one consumer; if not, no two events can ever be in conflict.
-func (u *Unfolding) hasAnyConflict() bool {
-	if u.anyConflict == 0 {
-		u.anyConflict = 2
-		for _, c := range u.Conditions {
-			if len(c.Consumers) > 1 {
-				u.anyConflict = 1
-				break
-			}
-		}
-	}
-	return u.anyConflict == 1
-}
-
-func pairKey(a, b int) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(a)<<32 | uint64(uint32(b))
-}
-
-func (u *Unfolding) computeConflict(e, f *Event) bool {
-	// Record, for every condition consumed by [e], which event consumed it;
-	// a condition consumed by a different event in [f] is a conflict witness.
-	consumedBy := map[int]int{}
-	collect := func(ev *Event) {
-		for _, c := range ev.Preset {
-			consumedBy[c.ID] = ev.ID
-		}
-	}
-	collect(e)
-	e.Local.forEach(func(id int) { collect(u.Events[id]) })
-	conflict := false
-	check := func(ev *Event) {
-		for _, c := range ev.Preset {
-			if other, ok := consumedBy[c.ID]; ok && other != ev.ID {
-				conflict = true
-			}
-		}
-	}
-	check(f)
-	f.Local.forEach(func(id int) {
-		if !conflict {
-			check(u.Events[id])
-		}
-	})
-	return conflict
-}
-
-// Concurrent reports whether two events are concurrent: not causally ordered
-// and not in conflict.
-func (u *Unfolding) Concurrent(e, f *Event) bool {
-	if e == f || e.IsRoot || f.IsRoot {
-		return false
-	}
-	return !u.Before(e, f) && !u.Before(f, e) && !u.InConflict(e, f)
-}
-
-// ConditionBeforeEvent reports whether condition c causally precedes event f:
-// some consumer of c lies in [f] ∪ {f}.
-func (u *Unfolding) ConditionBeforeEvent(c *Condition, f *Event) bool {
-	for _, consumer := range c.Consumers {
-		if consumer == f || (!f.IsRoot && f.Local.has(consumer.ID)) {
-			return true
-		}
-	}
-	return false
-}
-
-// EventBeforeCondition reports whether event f causally precedes condition c:
-// f produced c or lies in the local configuration of c's producer.
-func (u *Unfolding) EventBeforeCondition(f *Event, c *Condition) bool {
-	if c.Producer == f {
-		return true
-	}
-	if f.IsRoot {
-		return true
-	}
-	return c.Producer.Local.has(f.ID)
-}
-
-// ConcurrentConditionEvent reports whether condition c and event f are
-// concurrent: f can fire while c stays marked.
-func (u *Unfolding) ConcurrentConditionEvent(c *Condition, f *Event) bool {
-	if f.IsRoot {
-		return false
-	}
-	if u.ConditionBeforeEvent(c, f) || u.EventBeforeCondition(f, c) {
-		return false
-	}
-	if c.Producer != nil && !c.Producer.IsRoot && u.InConflict(c.Producer, f) {
-		return false
-	}
-	return true
-}
-
-// ConcurrentConditions reports whether two conditions are concurrent, using
-// the co-relation maintained during construction.
-func (u *Unfolding) ConcurrentConditions(a, b *Condition) bool {
-	if a == b {
-		return false
-	}
-	return u.co[a.ID].has(b.ID)
-}
-
-// Next returns next(e): the instances of e's signal that are reachable from e
-// with no other instance of that signal in between.  For events of different
-// branches of a choice, one successor per branch is returned.
-func (u *Unfolding) Next(e *Event) []*Event {
-	if e.IsRoot || e.label.IsDummy {
-		return nil
-	}
-	return u.nextOfSignal(e, e.label.Signal)
-}
-
-// NextOfSignal returns the instances of the given signal that follow event e
-// with no other instance of that signal strictly in between.  It generalises
-// Next to entry events of a different signal (in particular the root).
-func (u *Unfolding) NextOfSignal(e *Event, signal int) []*Event {
-	return u.nextOfSignal(e, signal)
-}
-
-func (u *Unfolding) nextOfSignal(e *Event, signal int) []*Event {
-	var candidates []*Event
-	for _, f := range u.EventsOfSignal(signal) {
-		if f == e {
-			continue
-		}
-		if e.IsRoot || u.Before(e, f) {
-			candidates = append(candidates, f)
-		}
-	}
-	var out []*Event
-	for _, f := range candidates {
-		minimal := true
-		for _, g := range candidates {
-			if g != f && u.Before(g, f) {
-				minimal = false
-				break
-			}
-		}
-		if minimal {
-			out = append(out, f)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// First returns first(a): the instances of the signal with no earlier
-// instance of the same signal, i.e. the signal's first change on every branch.
-func (u *Unfolding) First(signal int) []*Event {
-	return u.nextOfSignal(u.Root, signal)
 }
 
 // ParentCode returns the binary code of the configuration [e] \ {e}: the code

@@ -36,6 +36,19 @@
 //     64-bit hash; bucket entries are verified with full equality, so a
 //     collision can never produce a wrong cut-off.  Possible-extension dedup
 //     uses the same scheme with exact fingerprints.
+//
+// # Reading the segment
+//
+// An Unfolding is immutable once Build returns: no query writes to it, so
+// any number of goroutines may read one segment, and the co-relation is
+// dropped with the builder.  Cover derivation asks about every event at once
+// — an event's future and conflict set, the events of a signal — through a
+// Causality index built on demand by Unfolding.Causality, never by Build.
+// Its future sets are an E×E bit matrix, E²/64 words for E events, and
+// choice adds a conflict matrix of the same size; the segment's local
+// configurations are triangular, about E²/128 words.  So the index takes
+// about twice their memory without choice and four times with it, plus one
+// E-bit mask per signal.
 package unfolding
 
 import (
@@ -99,19 +112,9 @@ type Unfolding struct {
 	Events     []*Event     // all events including the root (index = ID)
 	Conditions []*Condition // all conditions (index = ID)
 
-	// co[c.ID] is the set of condition IDs concurrent with condition c.
-	co []*idSet
-
 	// bySignal[s] lists the events labelled with signal s in ID order.  It is
 	// filled as events are created, so a lookup never writes to the segment.
 	bySignal [][]*Event
-
-	// conflictCache memoises pairwise event-conflict queries; anyConflict is
-	// the lazily computed "does any condition have two consumers" fast path
-	// (conflict-free segments, e.g. of marked graphs, answer every query in
-	// constant time).
-	conflictCache map[uint64]bool
-	anyConflict   int8 // 0 = unknown, 1 = yes, 2 = no
 }
 
 // Label returns the STG label of the event's transition.  The root event has

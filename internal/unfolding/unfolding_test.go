@@ -123,21 +123,27 @@ func TestCausalityAndConcurrencyFig4(t *testing.T) {
 	if u.Before(plusB, plusC) || u.Before(plusC, plusB) {
 		t.Fatal("+b and +c are not ordered")
 	}
-	if !u.Concurrent(plusB, plusC) {
+	cz := u.Causality()
+	if !cz.Future(plusA).Get(plusB.ID) || !cz.Future(plusA).Get(minusA.ID) {
+		t.Fatal("+b and -a are in the future of +a")
+	}
+	if !concurrentEvents(cz, plusB, plusC) {
 		t.Fatal("+b and +c are concurrent")
 	}
-	if u.Concurrent(plusA, plusB) {
+	if concurrentEvents(cz, plusA, plusB) {
 		t.Fatal("+a and +b are not concurrent (they are ordered)")
 	}
-	if u.InConflict(plusB, plusC) {
-		t.Fatal("no conflict in a marked graph")
+	for _, e := range u.Events {
+		if cz.Conflict(e).Count() != 0 {
+			t.Fatalf("no conflict in a marked graph, but %s has one", u.EventName(e))
+		}
 	}
 	// next(+a) is -a; first(a) is +a.
-	next := u.Next(plusA)
+	next := cz.Next(plusA, ai)
 	if len(next) != 1 || next[0].label.Dir != stg.Minus {
 		t.Fatalf("next(+a) = %v", next)
 	}
-	first := u.First(ai)
+	first := cz.Next(u.Root, ai)
 	if len(first) != 1 || first[0] != plusA {
 		t.Fatalf("first(a) should be the +a instance")
 	}
@@ -162,15 +168,22 @@ func TestConflictFig1(t *testing.T) {
 	if choiceC == nil || chainC == nil {
 		t.Fatal("expected one +c instance per branch")
 	}
-	if !u.InConflict(plusA, choiceC) {
+	cz := u.Causality()
+	if !cz.Conflict(plusA).Get(choiceC.ID) || !cz.Conflict(choiceC).Get(plusA.ID) {
 		t.Fatal("+a and the choice-branch +c must be in conflict")
 	}
-	if u.Concurrent(plusA, choiceC) {
+	if concurrentEvents(cz, plusA, choiceC) {
 		t.Fatal("conflicting events are not concurrent")
 	}
-	if u.InConflict(plusA, chainC) {
+	if cz.Conflict(plusA).Get(chainC.ID) {
 		t.Fatal("+a and its causal successor +c are not in conflict")
 	}
+}
+
+// concurrentEvents reports whether two events are concurrent: neither is in
+// the other's future and they are not in conflict.
+func concurrentEvents(cz *Causality, e, f *Event) bool {
+	return !cz.Future(e).Get(f.ID) && !cz.Future(f).Get(e.ID) && !cz.Conflict(e).Get(f.ID)
 }
 
 func TestMinCutsAndParentCode(t *testing.T) {
