@@ -231,6 +231,17 @@ func (v Vec) AndNotWords(words []uint64) {
 	}
 }
 
+// OrWords sets in v every bit set in the given words, read like the words of
+// AndNotWords.  Words beyond v's own are ignored.
+func (v Vec) OrWords(words []uint64) {
+	for i := range min(len(words), len(v.words)) {
+		v.words[i] |= words[i]
+	}
+}
+
+// Clear sets every bit of v to 0 without allocating.
+func (v Vec) Clear() { clear(v.words) }
+
 // CopyFrom overwrites v with the contents of w without allocating.  The
 // vectors must have equal length.
 func (v Vec) CopyFrom(w Vec) {

@@ -268,6 +268,28 @@ func TestCopyFromAndNotWords(t *testing.T) {
 	}
 }
 
+func TestOrWordsAndClear(t *testing.T) {
+	v := MustFromString("10000")
+	// A prefix longer than the vector is clipped to the vector's words.
+	v.OrWords([]uint64{0b10100, ^uint64(0)})
+	if v.String() != "10101" {
+		t.Fatalf("OrWords = %s, want 10101", v)
+	}
+	wide := New(130)
+	wide.OrWords([]uint64{0, 1 << 1}) // sets bit 65 only
+	if wide.Count() != 1 || !wide.Get(65) {
+		t.Fatalf("OrWords on a prefix: %v", wide.Ones())
+	}
+	wide.Set(129, true)
+	allocs := testing.AllocsPerRun(100, wide.Clear)
+	if wide.Count() != 0 || wide.Len() != 130 {
+		t.Fatalf("Clear left %v of width %d", wide.Ones(), wide.Len())
+	}
+	if allocs != 0 {
+		t.Fatalf("Clear allocates %v times per run", allocs)
+	}
+}
+
 func TestLengthMismatchPanics(t *testing.T) {
 	for name, op := range map[string]func(v, w Vec){
 		"Or":       Vec.Or,

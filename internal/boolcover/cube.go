@@ -11,6 +11,7 @@
 package boolcover
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -27,6 +28,15 @@ const (
 	Dash             // the variable is free (don't care)
 )
 
+// The trits as a cube stores them, one per byte.  Two stored trits have
+// opposing care values exactly when their XOR is 1: 0^1 = 1, while any pair
+// that involves a dash or repeats a value XORs to 0, 2 or 3.
+const (
+	zero = byte(Zero)
+	one  = byte(One)
+	dash = byte(Dash)
+)
+
 // String renders the trit with the conventional '0', '1', '-' characters.
 func (t Trit) String() string {
 	switch t {
@@ -41,29 +51,29 @@ func (t Trit) String() string {
 
 // Cube is a product term over a fixed number of boolean variables.
 type Cube struct {
-	t []Trit
+	t []byte // one trit per variable
 }
 
 // NewCube returns the universal cube (all don't cares) over n variables.
 func NewCube(n int) Cube {
-	c := Cube{t: make([]Trit, n)}
+	c := Cube{t: make([]byte, n)}
 	for i := range c.t {
-		c.t[i] = Dash
+		c.t[i] = dash
 	}
 	return c
 }
 
 // CubeFromString parses a cube from a string of '0', '1' and '-' characters.
 func CubeFromString(s string) (Cube, error) {
-	c := Cube{t: make([]Trit, len(s))}
+	c := Cube{t: make([]byte, len(s))}
 	for i, ch := range s {
 		switch ch {
 		case '0':
-			c.t[i] = Zero
+			c.t[i] = zero
 		case '1':
-			c.t[i] = One
+			c.t[i] = one
 		case '-':
-			c.t[i] = Dash
+			c.t[i] = dash
 		default:
 			return Cube{}, fmt.Errorf("boolcover: invalid cube character %q", ch)
 		}
@@ -84,12 +94,12 @@ func MustCube(s string) Cube {
 // CubeFromMinterm converts a fully specified binary vector into a cube with no
 // don't cares.
 func CubeFromMinterm(v bitvec.Vec) Cube {
-	c := Cube{t: make([]Trit, v.Len())}
+	c := Cube{t: make([]byte, v.Len())}
 	for i := 0; i < v.Len(); i++ {
 		if v.Get(i) {
-			c.t[i] = One
+			c.t[i] = one
 		} else {
-			c.t[i] = Zero
+			c.t[i] = zero
 		}
 	}
 	return c
@@ -99,14 +109,14 @@ func CubeFromMinterm(v bitvec.Vec) Cube {
 func (c Cube) Len() int { return len(c.t) }
 
 // Get returns the value at position i.
-func (c Cube) Get(i int) Trit { return c.t[i] }
+func (c Cube) Get(i int) Trit { return Trit(c.t[i]) }
 
 // Set assigns position i.  It mutates the cube in place.
-func (c Cube) Set(i int, v Trit) { c.t[i] = v }
+func (c Cube) Set(i int, v Trit) { c.t[i] = byte(v) }
 
 // Clone returns an independent copy of the cube.
 func (c Cube) Clone() Cube {
-	d := Cube{t: make([]Trit, len(c.t))}
+	d := Cube{t: make([]byte, len(c.t))}
 	copy(d.t, c.t)
 	return d
 }
@@ -115,7 +125,7 @@ func (c Cube) Clone() Cube {
 func (c Cube) String() string {
 	var sb strings.Builder
 	for _, v := range c.t {
-		sb.WriteString(v.String())
+		sb.WriteString(Trit(v).String())
 	}
 	return sb.String()
 }
@@ -138,7 +148,7 @@ func (c Cube) Equal(d Cube) bool {
 func (c Cube) Literals() int {
 	n := 0
 	for _, v := range c.t {
-		if v != Dash {
+		if v != dash {
 			n++
 		}
 	}
@@ -155,7 +165,7 @@ func (c Cube) Contains(d Cube) bool {
 		panic("boolcover: cube width mismatch")
 	}
 	for i := range c.t {
-		if c.t[i] != Dash && c.t[i] != d.t[i] {
+		if c.t[i] != dash && c.t[i] != d.t[i] {
 			return false
 		}
 	}
@@ -169,11 +179,11 @@ func (c Cube) CoversMinterm(v bitvec.Vec) bool {
 	}
 	for i := range c.t {
 		switch c.t[i] {
-		case Zero:
+		case zero:
 			if v.Get(i) {
 				return false
 			}
-		case One:
+		case one:
 			if !v.Get(i) {
 				return false
 			}
@@ -188,13 +198,13 @@ func (c Cube) Intersect(d Cube) (Cube, bool) {
 	if len(c.t) != len(d.t) {
 		panic("boolcover: cube width mismatch")
 	}
-	r := Cube{t: make([]Trit, len(c.t))}
+	r := Cube{t: make([]byte, len(c.t))}
 	for i := range c.t {
 		a, b := c.t[i], d.t[i]
 		switch {
-		case a == Dash:
+		case a == dash:
 			r.t[i] = b
-		case b == Dash:
+		case b == dash:
 			r.t[i] = a
 		case a == b:
 			r.t[i] = a
@@ -214,7 +224,7 @@ func (c Cube) Distance(d Cube) int {
 	n := 0
 	for i := range c.t {
 		a, b := c.t[i], d.t[i]
-		if a != Dash && b != Dash && a != b {
+		if a != dash && b != dash && a != b {
 			n++
 		}
 	}
@@ -222,14 +232,25 @@ func (c Cube) Distance(d Cube) int {
 }
 
 // intersects reports whether c and d share a minterm, i.e. Distance(d) == 0,
-// stopping at the first opposing literal and without building the
-// intersection.
+// without building the intersection.  It compares eight trits per step: a
+// byte of the XOR of two 8-byte loads is 1 exactly where the cubes have
+// opposing literals, which is where the byte's bit 0 is set and its bit 1
+// clear.
 func (c Cube) intersects(d Cube) bool {
 	if len(c.t) != len(d.t) {
 		panic("boolcover: cube width mismatch")
 	}
-	for i, a := range c.t {
-		if b := d.t[i]; a != Dash && b != Dash && a != b {
+	const low = 0x0101010101010101 // bit 0 of every byte
+	a, b := c.t, d.t
+	for len(a) >= 8 {
+		x := binary.LittleEndian.Uint64(a) ^ binary.LittleEndian.Uint64(b)
+		if x&^(x>>1)&low != 0 {
+			return false
+		}
+		a, b = a[8:], b[8:]
+	}
+	for i := range a {
+		if a[i]^b[i] == 1 {
 			return false
 		}
 	}
@@ -241,12 +262,12 @@ func (c Cube) Supercube(d Cube) Cube {
 	if len(c.t) != len(d.t) {
 		panic("boolcover: cube width mismatch")
 	}
-	r := Cube{t: make([]Trit, len(c.t))}
+	r := Cube{t: make([]byte, len(c.t))}
 	for i := range c.t {
 		if c.t[i] == d.t[i] {
 			r.t[i] = c.t[i]
 		} else {
-			r.t[i] = Dash
+			r.t[i] = dash
 		}
 	}
 	return r
@@ -262,10 +283,10 @@ func (c Cube) Cofactor(p Cube) (Cube, bool) {
 	if c.Distance(p) > 0 {
 		return Cube{}, false
 	}
-	r := Cube{t: make([]Trit, len(c.t))}
+	r := Cube{t: make([]byte, len(c.t))}
 	for i := range c.t {
-		if p.t[i] != Dash {
-			r.t[i] = Dash
+		if p.t[i] != dash {
+			r.t[i] = dash
 		} else {
 			r.t[i] = c.t[i]
 		}
@@ -288,21 +309,21 @@ func (c Cube) Sharp(d Cube) []Cube {
 	var out []Cube
 	rem := c.Clone()
 	for i := range c.t {
-		if d.t[i] == Dash || rem.t[i] != Dash {
+		if d.t[i] == dash || rem.t[i] != dash {
 			// Either d does not constrain variable i, or the remainder is
 			// already fixed there (if it were fixed to the opposite value the
 			// distance check above would have fired; if fixed to the same
 			// value the split contributes nothing).
-			if rem.t[i] != Dash && d.t[i] != Dash && rem.t[i] != d.t[i] {
+			if rem.t[i] != dash && d.t[i] != dash && rem.t[i] != d.t[i] {
 				return []Cube{c.Clone()}
 			}
 			continue
 		}
 		piece := rem.Clone()
-		if d.t[i] == One {
-			piece.t[i] = Zero
+		if d.t[i] == one {
+			piece.t[i] = zero
 		} else {
-			piece.t[i] = One
+			piece.t[i] = one
 		}
 		out = append(out, piece)
 		rem.t[i] = d.t[i]

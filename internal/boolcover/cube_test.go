@@ -125,6 +125,50 @@ func randomCube(r *rand.Rand, n int) Cube {
 	return c
 }
 
+// TestIntersectsMatchesDistance checks the eight-trits-per-step intersects
+// against Distance(d) == 0 on random cube pairs of widths 0 to 130, so every
+// byte lane of a step and every length of the tail is exercised.  Half the
+// pairs agree wherever both have a literal; the rest get one opposing literal
+// at a random position, or are drawn independently.
+func TestIntersectsMatchesDistance(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	hits, misses := 0, 0
+	for n := 0; n <= 130; n++ {
+		for iter := 0; iter < 40; iter++ {
+			a, b := randomCube(r, n), randomCube(r, n)
+			if iter%4 != 3 {
+				for i := 0; i < n; i++ {
+					if a.Get(i) != Dash && r.Intn(2) == 0 {
+						b.Set(i, a.Get(i))
+					} else if a.Get(i) != Dash {
+						b.Set(i, Dash)
+					}
+				}
+			}
+			if n > 0 && iter%2 == 1 {
+				i := r.Intn(n)
+				a.Set(i, Zero)
+				b.Set(i, One)
+			}
+			want := a.Distance(b) == 0
+			if got := a.intersects(b); got != want {
+				t.Fatalf("width %d: %s intersects %s = %v, want %v", n, a, b, got, want)
+			}
+			if want {
+				hits++
+			} else {
+				misses++
+			}
+			if allocs := testing.AllocsPerRun(10, func() { a.intersects(b) }); allocs != 0 {
+				t.Fatalf("width %d: intersects allocates %v times", n, allocs)
+			}
+		}
+	}
+	if hits == 0 || misses == 0 {
+		t.Fatalf("the pairs are one-sided: %d intersecting, %d disjoint", hits, misses)
+	}
+}
+
 func TestQuickSharpSemantics(t *testing.T) {
 	const n = 5
 	r := rand.New(rand.NewSource(7))

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"punt/internal/bitvec"
 	"punt/internal/boolcover"
 	"punt/internal/unfolding"
@@ -67,13 +69,13 @@ func (d *deriver) concurrentSliceSignals(s *Slice, c *unfolding.Condition) []boo
 func (d *deriver) signalsOf(events bitvec.Vec, own int) []bool {
 	clear(d.dash)
 	for id := events.Next(0); id >= 0; id = events.Next(id + 1) {
-		l := d.u.Label(d.u.Events[id])
-		if l.IsDummy || l.Signal == own {
+		sig := d.signal[id]
+		if sig < 0 || sig == own {
 			continue
 		}
-		d.dash[l.Signal] = true
+		d.dash[sig] = true
 		// The signal is settled: skip its remaining events.
-		events.AndNot(d.cz.SignalEvents(l.Signal))
+		events.AndNot(d.cz.SignalEvents(sig))
 	}
 	return d.dash
 }
@@ -100,74 +102,122 @@ func mrCube(c *unfolding.Condition, dash []bool) boolcover.Cube {
 // consumed while c2 exists, and can only be consumed by leaving the slice or
 // after c2 itself is consumed — then every cut containing c2 also contains
 // c1, so dropping c2 loses no coverage.
+//
+// The candidates are streamed once from the postsets of sequentialEvents, in
+// ID order.  A condition precedes the boundary when one of its consumers lies
+// in d.ahead, the union of the boundary instances' pasts; those (group 1) are
+// kept as they come and leave their subsumption rows (see addRows).  The
+// others (group 2) wait in d.group2, marked open in d.openConds, with their
+// producers in d.openProducers.  Then each group-1 condition, latest first,
+// closes the open conditions it subsumes (see close).  What stays open is
+// kept.  The result is d.kept — group 1, then the unsubsumed group 2, each
+// in ID order — and is only valid until the next call.
 func (d *deriver) approximationSet(s *Slice) []*unfolding.Condition {
-	precedesBoundary := func(c *unfolding.Condition) bool {
-		for _, g := range c.Consumers {
-			for _, n := range s.Boundary {
-				if d.cz.Future(g).Get(n.ID) {
-					return true
-				}
+	d.ahead.Clear()
+	for _, n := range s.Boundary {
+		d.cz.OrPast(d.ahead, n)
+	}
+	d.kept, d.group2, d.ends = d.kept[:0], d.group2[:0], d.ends[:0]
+	d.openProducers.Clear()
+	seq := d.sequentialEvents(s)
+	for id := seq.Next(0); id >= 0; id = seq.Next(id + 1) {
+		for _, c := range d.u.Events[id].Postset {
+			if slices.ContainsFunc(c.Consumers, func(g *unfolding.Event) bool { return d.ahead.Get(g.ID) }) {
+				d.kept = append(d.kept, c)
+				d.addRows(s, c)
+			} else {
+				d.group2 = append(d.group2, c)
+				d.openConds.Set(c.ID, true)
+				d.openProducers.Set(id, true)
 			}
 		}
-		return false
 	}
-	var group1, group2 []*unfolding.Condition
-	for _, c := range s.Conditions {
-		if precedesBoundary(c) {
-			group1 = append(group1, c)
-		} else {
-			group2 = append(group2, c)
+	for i := len(d.ends) - 1; i >= 0; i-- {
+		start := 0
+		if i > 0 {
+			start = d.ends[i-1]
+		}
+		d.close(d.rows[start], d.rows[start+1:d.ends[i]])
+	}
+	for _, c2 := range d.group2 {
+		if d.openConds.Get(c2.ID) {
+			d.kept = append(d.kept, c2)
+			d.openConds.Set(c2.ID, false)
 		}
 	}
-	kept := append([]*unfolding.Condition(nil), group1...)
-	for _, c2 := range group2 {
-		if !subsumedBy(d.u, s, c2, group1) {
-			kept = append(kept, c2)
-		}
-	}
-	return kept
+	return d.kept
 }
 
-// subsumedBy reports whether every slice cut containing c2 necessarily also
-// contains one of the candidate conditions.
-func subsumedBy(u *unfolding.Unfolding, s *Slice, c2 *unfolding.Condition, candidates []*unfolding.Condition) bool {
-	for _, c1 := range candidates {
-		if c1 == c2 {
-			continue
-		}
-		// (a) c1 is produced no later than c2.
-		if !(c1.Producer == c2.Producer || u.Before(c1.Producer, c2.Producer)) {
-			continue
-		}
-		ok := true
-		for _, f := range c1.Consumers {
-			// (b) c1 is not consumed before c2 appears.
-			if f == c2.Producer || u.Before(f, c2.Producer) {
-				ok = false
-				break
-			}
-			// (c) c1 can only be consumed by leaving the slice (a boundary
-			// instance) or after c2 itself has been consumed.
-			if s.isBoundary(f) {
+// close closes the open group-2 conditions that the group-1 condition with
+// the given rows subsumes: those whose producer is in its first row and
+// which have a consumer in each of its past rows.  ANDing the first row with
+// the open producers leaves only the producers worth a look, so the cost
+// follows the candidates that pass the first test, not all of them.  It
+// consumes the first row.
+func (d *deriver) close(first bitvec.Vec, pasts []bitvec.Vec) {
+	first.And(d.openProducers)
+	for id := first.Next(0); id >= 0; id = first.Next(id + 1) {
+		open := false
+		for _, c2 := range d.u.Events[id].Postset {
+			if !d.openConds.Get(c2.ID) {
 				continue
 			}
-			consumedAfterC2 := false
-			for _, g := range c2.Consumers {
-				if g == f || u.Before(g, f) {
-					consumedAfterC2 = true
-					break
-				}
-			}
-			if !consumedAfterC2 {
-				ok = false
-				break
+			if consumedWithin(c2, pasts) {
+				d.openConds.Set(c2.ID, false)
+			} else {
+				open = true
 			}
 		}
-		if ok {
-			return true
+		d.openProducers.Set(id, open)
+	}
+}
+
+// addRows appends the subsumption rows of the group-1 condition c1.  The
+// first holds the events whose past holds c1's producer but none of its
+// consumers: Future(c1's producer) minus the futures of c1's consumers, so
+// c1 is marked whenever a condition c2 appears exactly when c2's producer is
+// in it.  Then, for each consumer f of c1 that is not a
+// boundary instance, comes the past [f]: c1 is consumed inside the slice only
+// after c2 when a consumer of c2 lies in [f].
+func (d *deriver) addRows(s *Slice, c1 *unfolding.Condition) {
+	n := 0
+	if len(d.ends) > 0 {
+		n = d.ends[len(d.ends)-1]
+	}
+	row := d.row(n)
+	row.CopyFrom(d.cz.Future(c1.Producer))
+	for _, f := range c1.Consumers {
+		row.AndNot(d.cz.Future(f))
+	}
+	n++
+	for _, f := range c1.Consumers {
+		if !s.isBoundary(f) {
+			past := d.row(n)
+			past.Clear()
+			d.cz.OrPast(past, f)
+			n++
 		}
 	}
-	return false
+	d.ends = append(d.ends, n)
+}
+
+// row returns the i-th subsumption row, growing the pool by one when i is
+// past its end.
+func (d *deriver) row(i int) bitvec.Vec {
+	if i == len(d.rows) {
+		d.rows = append(d.rows, bitvec.New(len(d.u.Events)))
+	}
+	return d.rows[i]
+}
+
+// consumedWithin reports whether every row holds a consumer of c.
+func consumedWithin(c *unfolding.Condition, rows []bitvec.Vec) bool {
+	for _, past := range rows {
+		if !slices.ContainsFunc(c.Consumers, func(g *unfolding.Event) bool { return past.Get(g.ID) }) {
+			return false
+		}
+	}
+	return true
 }
 
 // boundaryInputTerms implements the paper's special treatment of places that

@@ -20,6 +20,12 @@
 // entry's conflict set; the events concurrent to a condition are a slice (or
 // the whole segment) minus the futures of its consumers, its producer's past
 // and its producer's conflict set.  Each is a few passes over E/64 words.
+// Nothing is listed per slice: its sequential conditions are streamed from
+// the postsets of the slice events in the entry's future, and the
+// approximation set keeps those that precede a boundary instance plus those
+// that no such condition subsumes, each decided by bit tests against a
+// handful of per-slice rows.  One deriver holds every scratch set and serves
+// all signals of a synthesis.
 package core
 
 import (
@@ -51,39 +57,80 @@ type Slice struct {
 	// them leaves the slice.  The states in which a boundary instance is
 	// excited belong to the opposite phase and are excluded from the slice.
 	Boundary []*unfolding.Event
-	// Events are the events that may fire inside the slice, including the
-	// entry event itself when it is not the root, in ID order.
-	Events []*unfolding.Event
-	// members holds the IDs of Events, so the exact walks test membership in
-	// constant time.
+	// members holds the IDs of the events that may fire inside the slice,
+	// including the entry event itself when it is not the root.
 	members bitvec.Vec
-	// Conditions are the place instances of the slice that are sequential to
-	// the entry event; they are the candidates of the approximation set.
-	Conditions []*unfolding.Condition
 }
 
-// deriver holds what cover derivation reads about the segment — the segment
-// and its causality index — and the scratch buffers of the approximation,
-// which are reused from one condition to the next.
+// deriver holds what cover derivation reads about the segment — the segment,
+// its causality index and each event's signal — and the scratch sets of the
+// slicing and approximation, which are reused from one condition, slice and
+// signal to the next.  One deriver serves every signal of a synthesis; it is
+// not safe for concurrent use.
 type deriver struct {
 	u  *unfolding.Unfolding
 	cz *unfolding.Causality
+	// signal[id] is the signal labelling event id, or -1 for the root and
+	// dummy events.
+	signal []int
+	// live holds the events that are neither the root nor cut-offs; base is
+	// buildSlices' working copy of it.
+	live, base bitvec.Vec
 	// conc is the set of events concurrent to the event or condition at hand.
 	conc bitvec.Vec
+	// seq holds the events whose postsets are the sequential conditions of
+	// the slice at hand; ahead holds the events no later than one of its
+	// boundary instances.
+	seq, ahead bitvec.Vec
+	// rows are the subsumption rows of the slice's group-1 conditions (see
+	// approximationSet); the rows of the i-th one end at rows[ends[i]].
+	rows []bitvec.Vec
+	ends []int
+	// kept is the approximation set approximationSet returns and group2 its
+	// subsumption candidates; both are only valid until the next call.
+	kept, group2 []*unfolding.Condition
+	// openConds holds the group-2 conditions not yet found subsumed, and
+	// openProducers their producers; openConds is empty between calls.
+	openConds, openProducers bitvec.Vec
 	// dash is the signal mask signalsOf fills and returns; it is only valid
 	// until the next call.
 	dash []bool
 }
 
 func newDeriver(u *unfolding.Unfolding, cz *unfolding.Causality) *deriver {
-	return &deriver{u: u, cz: cz, conc: bitvec.New(len(u.Events)), dash: make([]bool, u.STG.NumSignals())}
+	n := len(u.Events)
+	d := &deriver{u: u, cz: cz, signal: make([]int, n), dash: make([]bool, u.STG.NumSignals())}
+	sets := bitvec.Slab(6, n)
+	d.live, d.base, d.conc, d.seq, d.ahead, d.openProducers = sets[0], sets[1], sets[2], sets[3], sets[4], sets[5]
+	d.openConds = bitvec.New(len(u.Conditions))
+	for _, e := range u.Events {
+		d.signal[e.ID] = -1
+		if e.IsRoot {
+			continue
+		}
+		if l := u.Label(e); !l.IsDummy {
+			d.signal[e.ID] = l.Signal
+		}
+		d.live.Set(e.ID, !e.IsCutoff)
+	}
+	return d
 }
 
 // buildSlices partitions the segment into the on- and off-slices of the given
 // signal.
 func (d *deriver) buildSlices(signal int) (on, off []*Slice) {
 	u := d.u
-	initial := u.STG.InitialState().Get(signal)
+	pos, neg := u.EventsOfEdge(signal, stg.Plus), u.EventsOfEdge(signal, stg.Minus)
+	// Every slice of the signal is entered by one of its instances or by the
+	// root, and their member sets share one backing array.
+	members := bitvec.Slab(len(pos)+len(neg)+1, len(u.Events))
+	slab := make([]Slice, len(members))
+	slice := func(phase bool, entry *unfolding.Event) *Slice {
+		i := len(on) + len(off)
+		slab[i] = Slice{Signal: signal, Phase: phase, Entry: entry, members: members[i]}
+		d.initSlice(&slab[i])
+		return &slab[i]
+	}
 
 	// base holds the events that may fire inside some slice of the signal.
 	// Other instances of the signal never do, and nor do cut-off events: the
@@ -91,38 +138,31 @@ func (d *deriver) buildSlices(signal int) (on, off []*Slice) {
 	// correspondents (McMillan's completeness argument), so excluding them
 	// loses no states and keeps every visited cut inside the fully expanded
 	// part of the segment.
-	base := d.cz.Future(u.Root).Clone()
-	base.Set(u.Root.ID, false)
-	base.AndNot(d.cz.SignalEvents(signal))
-	for _, f := range u.Events {
-		if f.IsCutoff {
-			base.Set(f.ID, false)
-		}
-	}
+	d.base.CopyFrom(d.live)
+	d.base.AndNot(d.cz.SignalEvents(signal))
 
-	for _, e := range u.EventsOfEdge(signal, stg.Plus) {
-		on = append(on, d.newSlice(base, signal, true, e))
+	for _, e := range pos {
+		on = append(on, slice(true, e))
 	}
-	for _, e := range u.EventsOfEdge(signal, stg.Minus) {
-		off = append(off, d.newSlice(base, signal, false, e))
+	for _, e := range neg {
+		off = append(off, slice(false, e))
 	}
 	// The initial slice: the phase the signal is in at the initial state,
 	// entered by the (virtual) initial transition.
-	if initial {
-		on = append(on, d.newSlice(base, signal, true, u.Root))
+	if u.STG.InitialState().Get(signal) {
+		on = append(on, slice(true, u.Root))
 	} else {
-		off = append(off, d.newSlice(base, signal, false, u.Root))
+		off = append(off, slice(false, u.Root))
 	}
 	return on, off
 }
 
-// newSlice constructs the slice entered by the given event for the given
-// signal phase.  Its events are the base events that lie neither beyond a
-// boundary instance, nor before the entry, nor on another branch of a choice
-// than the entry, plus the entry itself.
-func (d *deriver) newSlice(base bitvec.Vec, signal int, phase bool, entry *unfolding.Event) *Slice {
-	u, cz := d.u, d.cz
-	s := &Slice{Signal: signal, Phase: phase, Entry: entry}
+// initSlice completes the slice entered by s.Entry from d.base.  Its events
+// are the base events that lie neither beyond a boundary instance, nor before
+// the entry, nor on another branch of a choice than the entry, plus the entry
+// itself.
+func (d *deriver) initSlice(s *Slice) {
+	u, cz, entry := d.u, d.cz, s.Entry
 	if entry.IsRoot {
 		s.MinCut = u.MinStableCut(entry)
 		s.MinCode = entry.Code.Clone()
@@ -130,9 +170,9 @@ func (d *deriver) newSlice(base bitvec.Vec, signal int, phase bool, entry *unfol
 		s.MinCut = u.MinExcitationCut(entry)
 		s.MinCode = u.ParentCode(entry)
 	}
-	s.Boundary = cz.Next(entry, signal)
+	s.Boundary = cz.Next(entry, s.Signal)
 
-	s.members = base.Clone()
+	s.members.CopyFrom(d.base)
 	for _, n := range s.Boundary {
 		s.members.AndNot(cz.Future(n))
 	}
@@ -141,26 +181,22 @@ func (d *deriver) newSlice(base bitvec.Vec, signal int, phase bool, entry *unfol
 	if !entry.IsRoot {
 		s.members.Set(entry.ID, true)
 	}
-	s.Events = make([]*unfolding.Event, 0, s.members.Count())
-	for id := s.members.Next(0); id >= 0; id = s.members.Next(id + 1) {
-		s.Events = append(s.Events, u.Events[id])
-	}
+}
 
-	// The approximation-set candidates are the conditions sequential to the
-	// entry: produced by the entry itself or by a slice event in its future
-	// (for the root entry, every condition produced by the root or by a
-	// slice event qualifies).  A condition is created with its producer, so
-	// walking the producers in ID order lists the conditions in ID order.
-	if entry.IsRoot {
-		s.Conditions = append(s.Conditions, entry.Postset...)
+// sequentialEvents fills d.seq with the producers of the slice's sequential
+// conditions — the place instances of the slice that follow the entry, which
+// are the candidates of the approximation set: the entry itself and the
+// slice events in its future (for the root entry, the root and every slice
+// event).  A condition is created with its producer, so walking the postsets
+// of d.seq in ID order lists the conditions in ID order.  The set is only
+// valid until the next call.
+func (d *deriver) sequentialEvents(s *Slice) bitvec.Vec {
+	d.seq.CopyFrom(s.members)
+	d.seq.And(d.cz.Future(s.Entry))
+	if s.Entry.IsRoot {
+		d.seq.Set(s.Entry.ID, true)
 	}
-	future := cz.Future(entry)
-	for _, f := range s.Events {
-		if future.Get(f.ID) {
-			s.Conditions = append(s.Conditions, f.Postset...)
-		}
-	}
-	return s
+	return d.seq
 }
 
 // containsEvent reports whether the event belongs to the slice (may fire

@@ -151,11 +151,21 @@ func (p *pairwise) concurrentConditionEvent(c *unfolding.Condition, f *unfolding
 	return c.Producer.IsRoot || !p.inConflict(c.Producer, f)
 }
 
-// refNewSlice is the map-based slice construction newSlice replaced, kept
-// as the oracle of TestNewSliceMatchesReference.
-func refNewSlice(p *pairwise, signal int, phase bool, entry *unfolding.Event) *Slice {
+// refSlice is a slice as the map-based construction built it: the slice's
+// fields plus the lists of its events and of its sequential conditions, which
+// the set-algebra construction keeps as a bitset and streams instead.
+type refSlice struct {
+	*Slice
+	Events     []*unfolding.Event
+	Conditions []*unfolding.Condition
+}
+
+// refNewSlice is the map-based slice construction initSlice replaced, kept
+// as the oracle of TestNewSliceMatchesReference and of the approximation
+// oracles.
+func refNewSlice(p *pairwise, signal int, phase bool, entry *unfolding.Event) refSlice {
 	u := p.u
-	s := &Slice{Signal: signal, Phase: phase, Entry: entry}
+	s := refSlice{Slice: &Slice{Signal: signal, Phase: phase, Entry: entry}}
 	if entry.IsRoot {
 		s.MinCut = u.MinStableCut(entry)
 		s.MinCode = entry.Code.Clone()
@@ -214,7 +224,7 @@ func refNewSlice(p *pairwise, signal int, phase bool, entry *unfolding.Event) *S
 }
 
 // refErApproxCube is the pairwise ER approximation erApproxCube replaced.
-func refErApproxCube(p *pairwise, s *Slice) boolcover.Cube {
+func refErApproxCube(p *pairwise, s refSlice) boolcover.Cube {
 	cube := boolcover.CubeFromMinterm(s.MinCode)
 	for _, f := range s.Events {
 		if f == s.Entry {
@@ -231,9 +241,10 @@ func refErApproxCube(p *pairwise, s *Slice) boolcover.Cube {
 	return cube
 }
 
-// refApproximationSet is the approximation-set selection with the pairwise
-// "condition precedes a boundary instance" test approximationSet replaced.
-func refApproximationSet(p *pairwise, s *Slice) []*unfolding.Condition {
+// refApproximationSet is the list-based approximation-set selection with the
+// pairwise "condition precedes a boundary instance" and subsumption tests that
+// the streamed approximationSet replaced.
+func refApproximationSet(p *pairwise, s refSlice) []*unfolding.Condition {
 	var group1, group2 []*unfolding.Condition
 	for _, c := range s.Conditions {
 		if slices.ContainsFunc(s.Boundary, func(n *unfolding.Event) bool { return p.conditionBeforeEvent(c, n) }) {
@@ -244,16 +255,59 @@ func refApproximationSet(p *pairwise, s *Slice) []*unfolding.Condition {
 	}
 	kept := append([]*unfolding.Condition(nil), group1...)
 	for _, c2 := range group2 {
-		if !subsumedBy(p.u, s, c2, group1) {
+		if !refSubsumedBy(p.u, s.Slice, c2, group1) {
 			kept = append(kept, c2)
 		}
 	}
 	return kept
 }
 
+// refSubsumedBy is the pairwise subsumption test of refApproximationSet:
+// whether every slice cut containing c2 necessarily also contains one of the
+// candidate conditions.
+func refSubsumedBy(u *unfolding.Unfolding, s *Slice, c2 *unfolding.Condition, candidates []*unfolding.Condition) bool {
+	for _, c1 := range candidates {
+		if c1 == c2 {
+			continue
+		}
+		// (a) c1 is produced no later than c2.
+		if !(c1.Producer == c2.Producer || u.Before(c1.Producer, c2.Producer)) {
+			continue
+		}
+		ok := true
+		for _, f := range c1.Consumers {
+			// (b) c1 is not consumed before c2 appears.
+			if f == c2.Producer || u.Before(f, c2.Producer) {
+				ok = false
+				break
+			}
+			// (c) c1 can only be consumed by leaving the slice (a boundary
+			// instance) or after c2 itself has been consumed.
+			if s.isBoundary(f) {
+				continue
+			}
+			consumedAfterC2 := false
+			for _, g := range c2.Consumers {
+				if g == f || u.Before(g, f) {
+					consumedAfterC2 = true
+					break
+				}
+			}
+			if !consumedAfterC2 {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return true
+		}
+	}
+	return false
+}
+
 // refConcurrentSliceSignals is the pairwise MR dash mask
 // concurrentSliceSignals replaced.
-func refConcurrentSliceSignals(p *pairwise, s *Slice, c *unfolding.Condition) []bool {
+func refConcurrentSliceSignals(p *pairwise, s refSlice, c *unfolding.Condition) []bool {
 	out := make([]bool, p.u.STG.NumSignals())
 	for _, f := range s.Events {
 		lf := p.u.Label(f)
@@ -271,7 +325,7 @@ func refConcurrentSliceSignals(p *pairwise, s *Slice, c *unfolding.Condition) []
 // boundaryInputTerms replaced: one "already produced" case per way a sibling
 // input can precede c, and one concurrency query per instance of a
 // concurrent producer's signal.
-func refBoundaryInputTerms(p *pairwise, s *Slice, c *unfolding.Condition) (*boolcover.Cover, bool) {
+func refBoundaryInputTerms(p *pairwise, s refSlice, c *unfolding.Condition) (*boolcover.Cover, bool) {
 	u := p.u
 	var boundary *unfolding.Event
 	for _, f := range c.Consumers {
@@ -342,11 +396,14 @@ func TestNewSliceMatchesReference(t *testing.T) {
 			for _, s := range append(on, off...) {
 				where := fmt.Sprintf("%s signal %d entry %s", spec.name, sig, u.EventName(s.Entry))
 				ref := refNewSlice(p, sig, s.Phase, s.Entry)
+				var conds []*unfolding.Condition
+				seq := d.sequentialEvents(s)
+				for id := seq.Next(0); id >= 0; id = seq.Next(id + 1) {
+					conds = append(conds, u.Events[id].Postset...)
+				}
 				switch {
-				case !slices.Equal(s.Events, ref.Events):
-					t.Fatalf("%s: Events differ", where)
-				case !slices.Equal(s.Conditions, ref.Conditions):
-					t.Fatalf("%s: Conditions differ", where)
+				case !slices.Equal(conds, ref.Conditions):
+					t.Fatalf("%s: sequential conditions differ", where)
 				case !slices.Equal(s.Boundary, ref.Boundary):
 					t.Fatalf("%s: Boundary differs", where)
 				case !slices.Equal(s.MinCut, ref.MinCut):
@@ -356,7 +413,7 @@ func TestNewSliceMatchesReference(t *testing.T) {
 				}
 				for _, f := range u.Events {
 					if s.containsEvent(f) != slices.Contains(ref.Events, f) {
-						t.Fatalf("%s: membership of %s disagrees with Events", where, u.EventName(f))
+						t.Fatalf("%s: membership of %s disagrees with the reference Events", where, u.EventName(f))
 					}
 				}
 			}
@@ -379,23 +436,24 @@ func TestApproximationMatchesReference(t *testing.T) {
 			on, off := d.buildSlices(sig)
 			for _, s := range append(on, off...) {
 				where := fmt.Sprintf("%s signal %d entry %s", spec.name, sig, u.EventName(s.Entry))
+				ref := refNewSlice(p, sig, s.Phase, s.Entry)
 				if !s.Entry.IsRoot {
-					if got, want := d.erApproxCube(s), refErApproxCube(p, s); !got.Equal(want) {
+					if got, want := d.erApproxCube(s), refErApproxCube(p, ref); !got.Equal(want) {
 						t.Fatalf("%s: ER cube %s, want %s", where, got, want)
 					}
 				}
 				set := d.approximationSet(s)
-				if want := refApproximationSet(p, s); !slices.Equal(set, want) {
+				if want := refApproximationSet(p, ref); !slices.Equal(set, want) {
 					t.Fatalf("%s: approximation set differs", where)
 				}
 				for _, c := range set {
-					got, want := d.concurrentSliceSignals(s, c), refConcurrentSliceSignals(p, s, c)
+					got, want := d.concurrentSliceSignals(s, c), refConcurrentSliceSignals(p, ref, c)
 					if !slices.Equal(got, want) {
 						t.Fatalf("%s condition %s: dash mask %v, want %v", where, u.ConditionName(c), got, want)
 					}
 					masks++
 					gotCov, gotOK := d.boundaryInputTerms(s, c)
-					wantCov, wantOK := refBoundaryInputTerms(p, s, c)
+					wantCov, wantOK := refBoundaryInputTerms(p, ref, c)
 					if gotOK != wantOK || (gotCov == nil) != (wantCov == nil) ||
 						gotCov != nil && gotCov.String() != wantCov.String() {
 						t.Fatalf("%s condition %s: boundary terms (%v, %v), want (%v, %v)",
@@ -443,8 +501,40 @@ func TestConcurrentSliceSignalsAllocFree(t *testing.T) {
 	}
 }
 
+// TestApproximationSetAllocFree pins the approximation set to the shared
+// deriver's scratch: once the deriver has served a signal, selecting the set
+// of every slice of another allocates nothing.
+func TestApproximationSetAllocFree(t *testing.T) {
+	g := benchgen.MullerPipelineWithSignals(22)
+	u, err := unfolding.Build(context.Background(), g, unfolding.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newDeriver(u, u.Causality())
+	outputs := g.OutputSignals()
+	warm, warmOff := d.buildSlices(outputs[0])
+	for _, s := range append(warm, warmOff...) {
+		d.approximationSet(s)
+	}
+	on, off := d.buildSlices(outputs[1])
+	all := append(on, off...)
+	kept := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		kept = 0
+		for _, s := range all {
+			kept += len(d.approximationSet(s))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("approximationSet allocates %v times over %d slices", allocs, len(all))
+	}
+	if kept == 0 {
+		t.Fatal("no slice has an approximation-set condition")
+	}
+}
+
 // TestCoversShareSegmentAcrossGoroutines derives covers from one segment on
-// four goroutines at once, each with its own causality index, and compares
+// four goroutines at once, each with its own causality index and deriver, and compares
 // them with a serial run.  Under the race detector it shows that cover
 // derivation only reads the segment.
 func TestCoversShareSegmentAcrossGoroutines(t *testing.T) {
@@ -455,10 +545,10 @@ func TestCoversShareSegmentAcrossGoroutines(t *testing.T) {
 		}
 		syn := New(Options{})
 		derive := func() (string, error) {
-			cz := u.Causality()
+			d := newDeriver(u, u.Causality())
 			var sb strings.Builder
 			for _, sig := range g.OutputSignals() {
-				on, off, _, _, _, err := syn.coversFor(u, cz, sig)
+				on, off, _, _, _, err := syn.coversFor(d, sig)
 				if err != nil {
 					return "", err
 				}

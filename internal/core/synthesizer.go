@@ -151,7 +151,7 @@ func (s *Synthesizer) Synthesize(ctx context.Context, g *stg.STG) (*gatelib.Impl
 	}
 
 	synStart := time.Now()
-	cz := u.Causality()
+	d := newDeriver(u, u.Causality())
 	stats.SynTime += time.Since(synStart)
 
 	im := &gatelib.Implementation{Name: g.Name(), SignalNames: g.SignalNames()}
@@ -167,7 +167,7 @@ func (s *Synthesizer) Synthesize(ctx context.Context, g *stg.STG) (*gatelib.Impl
 			p("covers", g.Signal(sig).Name, stats.Events)
 		}
 		synStart := time.Now()
-		on, off, erPlus, erMinus, refined, err := s.coversFor(u, cz, sig)
+		on, off, erPlus, erMinus, refined, err := s.coversFor(d, sig)
 		stats.SynTime += time.Since(synStart)
 		if err != nil {
 			return nil, stats, err
@@ -188,11 +188,10 @@ func (s *Synthesizer) Synthesize(ctx context.Context, g *stg.STG) (*gatelib.Impl
 
 // coversFor derives the on/off-set covers (and, for memory-element
 // architectures, the excitation-region covers) of one signal.
-func (s *Synthesizer) coversFor(u *unfolding.Unfolding, cz *unfolding.Causality, sig int) (on, off, erPlus, erMinus *boolcover.Cover, refined int, err error) {
-	g := u.STG
+func (s *Synthesizer) coversFor(d *deriver, sig int) (on, off, erPlus, erMinus *boolcover.Cover, refined int, err error) {
+	u, g := d.u, d.u.STG
 	nvars := g.NumSignals()
 
-	d := newDeriver(u, cz)
 	onSlices, offSlices := d.buildSlices(sig)
 
 	// Signals that never switch are constant: their cover is the constant of

@@ -73,6 +73,13 @@ func (cz *Causality) AndNotPast(v bitvec.Vec, e *Event) {
 	v.Set(e.ID, false)
 }
 
+// OrPast adds to v the events of e's local configuration [e] and e itself
+// (for the root, just the root).  It reads [e] in place.
+func (cz *Causality) OrPast(v bitvec.Vec, e *Event) {
+	v.OrWords(e.Local.words)
+	v.Set(e.ID, true)
+}
+
 // Conflict returns the events in structural conflict with e: those whose
 // local configuration contains an event g ∉ [e] that shares a preset
 // condition with an event of [e], so that no run fires both.  Events

@@ -121,10 +121,12 @@ func TestCausalityMatchesPairwise(t *testing.T) {
 		for i := 0; i < n; i++ {
 			all.Set(i, true)
 		}
-		past := bitvec.New(n)
+		past, added := bitvec.New(n), bitvec.New(n)
 		for _, e := range u.Events {
 			past.CopyFrom(all)
 			cz.AndNotPast(past, e)
+			added.Clear()
+			cz.OrPast(added, e)
 			future, conflict := cz.Future(e), cz.Conflict(e)
 			for _, f := range u.Events {
 				where := func() string { return fmt.Sprintf("%s: %s vs %s", spec.name, u.EventName(e), u.EventName(f)) }
@@ -133,6 +135,9 @@ func TestCausalityMatchesPairwise(t *testing.T) {
 				}
 				if got, want := !past.Get(f.ID), f == e || !f.IsRoot && u.Before(f, e); got != want {
 					t.Fatalf("%s: f cleared by AndNotPast(e) = %v, want %v", where(), got, want)
+				}
+				if got, want := added.Get(f.ID), f == e || !f.IsRoot && u.Before(f, e); got != want {
+					t.Fatalf("%s: f added by OrPast(e) = %v, want %v", where(), got, want)
 				}
 				want := inConflict(e, f)
 				if got := conflict.Get(f.ID); got != want {
