@@ -28,7 +28,7 @@ func Unfold(ctx context.Context, spec *Spec, opts ...Option) (*Segment, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	uopts := unfolding.Options{MaxEvents: cfg.maxEvents, Workers: cfg.workers}
+	uopts := unfolding.Options{MaxEvents: cfg.maxEvents}
 	if p := cfg.progress; p != nil {
 		uopts.Progress = func(events int) { p(Progress{Stage: "unfold", Events: events}) }
 	}

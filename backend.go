@@ -53,10 +53,10 @@ type BackendConfig struct {
 	// MaxNodes bounds the symbolic engine's BDD size (0 = unlimited).
 	MaxNodes int
 	// Workers bounds intra-run parallelism for engines that support it (the
-	// unfolding flow shards its possible-extension computation, the decompose
-	// backend synthesizes this many components at once); <= 1 selects the
+	// decompose backend synthesizes this many components at once, the CSC
+	// resolver validates this many candidates at once); <= 1 selects the
 	// sequential path.  Parallel runs are deterministic: the output is
-	// byte-identical to the sequential build.
+	// byte-identical to the sequential one.
 	Workers int
 	// Inner names the engine the decompose backend synthesizes components
 	// with (and falls through to on indivisible specifications); empty
@@ -211,7 +211,7 @@ type unfoldingBackend struct{}
 func (unfoldingBackend) Name() string { return Unfolding }
 
 func (unfoldingBackend) Synthesize(ctx context.Context, spec *Spec, cfg BackendConfig) (*Result, error) {
-	copts := core.Options{Mode: cfg.Mode, Arch: cfg.Arch, MaxEvents: cfg.MaxEvents, Workers: cfg.Workers}
+	copts := core.Options{Mode: cfg.Mode, Arch: cfg.Arch, MaxEvents: cfg.MaxEvents}
 	if p := cfg.Progress; p != nil {
 		copts.Progress = func(stage, signal string, events int) {
 			p(Progress{Stage: stage, Signal: signal, Events: events})
@@ -225,7 +225,6 @@ func (unfoldingBackend) Synthesize(ctx context.Context, spec *Spec, cfg BackendC
 	res.Stats = Stats{
 		Engine:         Unfolding,
 		Workers:        cfg.Workers,
-		PEParallel:     cfg.Workers > 1,
 		UnfTime:        st.UnfTime,
 		SynTime:        st.SynTime,
 		EspTime:        st.EspTime,

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"punt"
@@ -35,8 +34,6 @@ type (
 	// CachePoint is one cache-effectiveness measurement (cold synthesis vs
 	// warm cache hit).
 	CachePoint = experiments.CachePoint
-	// ParallelPoint is one sequential-vs-parallel unfold measurement.
-	ParallelPoint = experiments.ParallelPoint
 	// ResolveRetryPoint is one full-rebuild-vs-incremental CSC-retry sweep.
 	ResolveRetryPoint = experiments.ResolveRetryPoint
 	// DecomposePoint is one monolithic-vs-compositional synthesis measurement.
@@ -68,9 +65,6 @@ func FormatFacade(points []FacadePoint) string { return experiments.FormatFacade
 // FormatCache renders the cache-effectiveness measurements as a table.
 func FormatCache(points []CachePoint) string { return experiments.FormatCache(points) }
 
-// FormatParallel renders the parallel-unfolding measurements as a table.
-func FormatParallel(points []ParallelPoint) string { return experiments.FormatParallel(points) }
-
 // FormatResolveRetry renders the CSC-retry sweep as a table.
 func FormatResolveRetry(points []ResolveRetryPoint) string {
 	return experiments.FormatResolveRetry(points)
@@ -80,8 +74,8 @@ func FormatResolveRetry(points []ResolveRetryPoint) string {
 func FormatDecompose(points []DecomposePoint) string { return experiments.FormatDecompose(points) }
 
 // NewReport assembles the JSON perf-trajectory report.
-func NewReport(rows []Table1Row, points []Figure6Point, facade []FacadePoint, cache, disk []CachePoint, parallel []ParallelPoint, retry []ResolveRetryPoint, decomp []DecomposePoint, now time.Time) Report {
-	return experiments.NewReport(rows, points, facade, cache, disk, parallel, retry, decomp, now)
+func NewReport(rows []Table1Row, points []Figure6Point, facade []FacadePoint, cache, disk []CachePoint, retry []ResolveRetryPoint, decomp []DecomposePoint, now time.Time) Report {
+	return experiments.NewReport(rows, points, facade, cache, disk, retry, decomp, now)
 }
 
 // WriteJSON writes the report, indented, to w.
@@ -192,60 +186,6 @@ func RunCache(ctx context.Context, runs int) ([]CachePoint, error) {
 		p.Warm = warm / time.Duration(runs)
 		if p.Warm > 0 {
 			p.Speedup = float64(p.Cold) / float64(p.Warm)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// RunParallel measures the sharded possible-extension pool: each workload is
-// unfolded runs times (minimum 1) with WithWorkers(1) and with
-// WithWorkers(workers) (0 = GOMAXPROCS), averaging the unfold-only times and
-// checking on every parallel run that the segment dumps byte-identically to
-// the sequential one — the determinism guarantee this trajectory exists to
-// police.  On a single-CPU host the speedup hovers near (or below) 1; the
-// Identical verdict is the invariant.
-func RunParallel(ctx context.Context, workers, runs int) ([]ParallelPoint, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	specs := []struct {
-		name string
-		spec *punt.Spec
-	}{
-		{name: "pipeline-22", spec: punt.MullerPipelineWithSignals(22)},
-		{name: "pipeline-50", spec: punt.MullerPipelineWithSignals(50)},
-		{name: "counterflow", spec: punt.CounterflowPipeline()},
-	}
-	out := make([]ParallelPoint, 0, len(specs))
-	for _, ws := range specs {
-		p := ParallelPoint{Spec: ws.name, Workers: workers, Runs: runs, Identical: true}
-		var seq, par time.Duration
-		for i := 0; i < runs; i++ {
-			t0 := time.Now()
-			segSeq, err := punt.Unfold(ctx, ws.spec, punt.WithWorkers(1))
-			seq += time.Since(t0)
-			if err != nil {
-				return nil, fmt.Errorf("bench: sequential unfold of %s: %w", ws.name, err)
-			}
-			t1 := time.Now()
-			segPar, err := punt.Unfold(ctx, ws.spec, punt.WithWorkers(workers))
-			par += time.Since(t1)
-			if err != nil {
-				return nil, fmt.Errorf("bench: parallel unfold of %s: %w", ws.name, err)
-			}
-			if segSeq.Dump() != segPar.Dump() {
-				p.Identical = false
-			}
-			p.Events = segPar.Stats().Events
-		}
-		p.Sequential = seq / time.Duration(runs)
-		p.Parallel = par / time.Duration(runs)
-		if p.Parallel > 0 {
-			p.Speedup = float64(p.Sequential) / float64(p.Parallel)
 		}
 		out = append(out, p)
 	}

@@ -46,7 +46,7 @@ func TestRunDiskCache(t *testing.T) {
 			t.Errorf("%s: no speedup computed: %+v", p.Spec, p)
 		}
 	}
-	report := NewReport(nil, nil, nil, nil, points, nil, nil, nil, time.Unix(0, 0))
+	report := NewReport(nil, nil, nil, nil, points, nil, nil, time.Unix(0, 0))
 	if len(report.DiskCache) != 2 || report.DiskCache[0].Spec != "fig1" {
 		t.Errorf("disk-cache points lost in the report: %+v", report.DiskCache)
 	}
@@ -57,7 +57,7 @@ func TestFacadePointsInJSONReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report := NewReport(nil, nil, points, nil, nil, nil, nil, nil, time.Unix(0, 0))
+	report := NewReport(nil, nil, points, nil, nil, nil, nil, time.Unix(0, 0))
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, report); err != nil {
 		t.Fatal(err)
@@ -68,40 +68,6 @@ func TestFacadePointsInJSONReport(t *testing.T) {
 	}
 	if len(back.Facade) != 2 || back.Facade[0].Spec != "fig1" || back.Facade[0].Literals != 2 {
 		t.Errorf("facade entries lost in JSON round trip: %+v", back.Facade)
-	}
-}
-
-func TestRunParallel(t *testing.T) {
-	points, err := RunParallel(context.Background(), 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("points = %d", len(points))
-	}
-	for _, p := range points {
-		if !p.Identical {
-			t.Errorf("%s: parallel unfold diverged from sequential", p.Spec)
-		}
-		if p.Workers != 4 || p.Sequential <= 0 || p.Parallel <= 0 || p.Events == 0 {
-			t.Errorf("%s: point = %+v", p.Spec, p)
-		}
-	}
-	text := FormatParallel(points)
-	if !strings.Contains(text, "pipeline-50") || !strings.Contains(text, "counterflow") {
-		t.Errorf("formatting:\n%s", text)
-	}
-	report := NewReport(nil, nil, nil, nil, nil, points, nil, nil, time.Unix(0, 0))
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, report); err != nil {
-		t.Fatal(err)
-	}
-	var back Report
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Parallel) != 3 || !back.Parallel[0].Identical {
-		t.Errorf("parallel entries lost in JSON round trip: %+v", back.Parallel)
 	}
 }
 
@@ -132,7 +98,7 @@ func TestRunDecompose(t *testing.T) {
 	if !strings.Contains(text, "counterflow") || !strings.Contains(text, "Speedup") {
 		t.Errorf("formatting:\n%s", text)
 	}
-	report := NewReport(nil, nil, nil, nil, nil, nil, nil, points, time.Unix(0, 0))
+	report := NewReport(nil, nil, nil, nil, nil, nil, points, time.Unix(0, 0))
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, report); err != nil {
 		t.Fatal(err)
@@ -165,7 +131,7 @@ func TestRunResolveRetry(t *testing.T) {
 	if !strings.Contains(text, "Speedup") {
 		t.Errorf("formatting:\n%s", text)
 	}
-	report := NewReport(nil, nil, nil, nil, nil, nil, points, nil, time.Unix(0, 0))
+	report := NewReport(nil, nil, nil, nil, nil, points, nil, time.Unix(0, 0))
 	if len(report.ResolveRetry) != 1 || report.ResolveRetry[0].Seeds != p.Seeds {
 		t.Errorf("retry sweep lost in the report: %+v", report.ResolveRetry)
 	}

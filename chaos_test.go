@@ -228,61 +228,3 @@ func TestChaosCancellationSchedules(t *testing.T) {
 		t.Fatalf("only %d cancellation depths were reachable; the spec is too small to exercise the loop", fired)
 	}
 }
-
-// TestChaosParallelShardSchedules drives the sharded possible-extension pool
-// through the facade: with WithWorkers(4), injected cancellations at
-// increasing shard depths and an injected mid-shard panic must surface as
-// structured diagnostics — never a deadlocked round, never a leaked worker
-// (the LeakCheck would catch a pool that failed to quiesce).
-func TestChaosParallelShardSchedules(t *testing.T) {
-	defer faultinject.LeakCheck(t)()
-	spec := punt.MullerPipelineWithSignals(24)
-
-	fired := 0
-	for depth := 0; depth < 8; depth++ {
-		inj := faultinject.New(faultinject.Rule{Op: faultinject.OpUnfoldShard, AfterN: int64(depth * 5), Act: faultinject.ActCancel})
-		ctx := faultinject.With(context.Background(), inj)
-		_, err := punt.New(punt.WithWorkers(4)).Synthesize(ctx, spec)
-		if err == nil {
-			if len(inj.Fired()) > 0 {
-				t.Fatalf("depth %d: injected cancellation fired yet synthesis succeeded", depth)
-			}
-			break
-		}
-		fired++
-		if !errors.Is(err, faultinject.ErrInjected) {
-			t.Errorf("depth %d: err = %v, want the injected fault", depth, err)
-		}
-		var d *punt.Diagnostic
-		if !errors.As(err, &d) {
-			t.Errorf("depth %d: unstructured error %T", depth, err)
-		}
-	}
-	if fired < 2 {
-		t.Fatalf("only %d shard-cancellation depths were reachable", fired)
-	}
-
-	// A worker that panics mid-shard: the pool must re-raise on the build
-	// goroutine, where the backend recovery turns it into a KindPanic
-	// diagnostic carrying the injected value.
-	inj := faultinject.New(faultinject.Rule{Op: faultinject.OpUnfoldShard, AfterN: 9, Act: faultinject.ActPanic})
-	ctx := faultinject.With(context.Background(), inj)
-	_, err := punt.New(punt.WithWorkers(4)).Synthesize(ctx, spec)
-	if err == nil {
-		t.Fatal("injected mid-shard panic yet synthesis succeeded")
-	}
-	var d *punt.Diagnostic
-	if !errors.As(err, &d) {
-		t.Fatalf("unstructured error %T: %v", err, err)
-	}
-	if d.Kind != punt.KindPanic {
-		t.Errorf("Kind = %v, want KindPanic", d.Kind)
-	}
-	var pe *punt.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want a wrapped *PanicError", err)
-	}
-	if _, ok := pe.Value.(faultinject.InjectedPanic); !ok {
-		t.Errorf("recovered value = %#v, want the injected panic", pe.Value)
-	}
-}

@@ -49,10 +49,8 @@ func main() {
 	cacheBench := flag.Bool("cache", false, "measure cold-vs-warm result-cache effectiveness (implied by -json)")
 	diskBench := flag.Bool("disk", false, "measure cold-vs-warm hits on the persistent disk store (implied by -json)")
 	storeDir := flag.String("store", "", "disk store directory for -disk (default: a temporary directory)")
-	parallelBench := flag.Bool("parallel", false, "measure sequential vs sharded-worker unfolding (implied by -json)")
 	retryBench := flag.Bool("resolve-retry", false, "measure full-rebuild vs incremental CSC-resolution retries (implied by -json)")
 	decomposeBench := flag.Bool("decompose", false, "measure monolithic vs compositional (split-synthesize-recombine) synthesis (implied by -json)")
-	workersFlag := flag.Int("workers", 0, "worker-pool width for -parallel (0 = GOMAXPROCS)")
 	retryConflicts := flag.Int("retry-conflicts", 25, "how many CSC-conflicted random specs the -resolve-retry sweep resolves")
 	quick := flag.Bool("quick", false, "use small resource budgets so the whole run finishes quickly")
 	skipBaselines := flag.Bool("punt-only", false, "run only the unfolding-based flow (no baselines)")
@@ -60,8 +58,8 @@ func main() {
 	facadeRuns := flag.Int("facade-runs", 5, "how many runs the facade and cache benchmarks average over")
 	jsonOut := flag.String("json", "", `also write the measurements as JSON to this file ("-" = stdout)`)
 	flag.Parse()
-	if !*table1 && !*figure6 && !*facade && !*cacheBench && !*diskBench && !*parallelBench && !*retryBench && !*decomposeBench && *jsonOut == "" {
-		fmt.Fprintln(os.Stderr, "usage: benchtab [-table1] [-figure6] [-facade] [-cache] [-disk] [-parallel] [-resolve-retry] [-decompose] [flags]")
+	if !*table1 && !*figure6 && !*facade && !*cacheBench && !*diskBench && !*retryBench && !*decomposeBench && *jsonOut == "" {
+		fmt.Fprintln(os.Stderr, "usage: benchtab [-table1] [-figure6] [-facade] [-cache] [-disk] [-resolve-retry] [-decompose] [flags]")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -71,7 +69,6 @@ func main() {
 	var points []bench.Figure6Point
 	var facadePoints []bench.FacadePoint
 	var cachePoints, diskPoints []bench.CachePoint
-	var parallelPoints []bench.ParallelPoint
 	var retryPoints []bench.ResolveRetryPoint
 	var decomposePoints []bench.DecomposePoint
 	if *table1 {
@@ -164,20 +161,6 @@ func main() {
 		fmt.Println("Disk store: cold synthesis vs warm hit through fresh tiers (restart cost; punt.NewTiered + punt.NewDiskCache)")
 		fmt.Print(bench.FormatCache(diskPoints))
 	}
-	if *parallelBench || *jsonOut != "" {
-		runs := *facadeRuns
-		if *quick && runs > 2 {
-			runs = 2
-		}
-		var err error
-		parallelPoints, err = bench.RunParallel(ctx, *workersFlag, runs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("Parallel: sequential vs sharded possible-extension unfolding (punt.WithWorkers)")
-		fmt.Print(bench.FormatParallel(parallelPoints))
-	}
 	if *retryBench || *jsonOut != "" {
 		conflicts := *retryConflicts
 		if *quick && conflicts > 10 {
@@ -207,7 +190,7 @@ func main() {
 		fmt.Print(bench.FormatDecompose(decomposePoints))
 	}
 	if *jsonOut != "" {
-		report := bench.NewReport(rows, points, facadePoints, cachePoints, diskPoints, parallelPoints, retryPoints, decomposePoints, time.Now())
+		report := bench.NewReport(rows, points, facadePoints, cachePoints, diskPoints, retryPoints, decomposePoints, time.Now())
 		if err := writeReport(*jsonOut, report); err != nil {
 			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
 			os.Exit(1)

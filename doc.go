@@ -114,20 +114,18 @@
 // of internal/unfolding for details, and cmd/benchtab's -json flag for the
 // machine-readable perf trajectory the benchmarks are tracked with.
 //
-// WithWorkers(n) additionally parallelises the inside of a single synthesis,
-// not just Batch and the portfolio: with n > 1 the builder's
-// possible-extension search — the dominant cost of unfolding — is sharded
-// across a pool of n worker lanes with per-lane scratch state, and the CSC
-// resolver validates its ranked insertion candidates concurrently, extending
-// the parent state graph incrementally around the inserted signal instead of
-// rebuilding it per candidate (Stats.CSCStatesReused, CSCStatesExpanded and
-// CSCFullRebuilds report the reuse).  The determinism guarantee is explicit
-// and test-enforced: for every specification and every n, the unfolding
-// segment, the state-graph trajectory and the synthesized implementation are
-// byte-identical to the sequential run — discovered extensions are merged in
-// the deterministic task order the sequential search would have produced, and
-// the parallel candidate scan picks the same winner as the sequential
-// rank-order scan.  The worker count is therefore a pure throughput knob:
+// WithWorkers(n) bounds only jobs that share no state: Batch items,
+// portfolio contenders, decompose components and, inside one synthesis, the
+// CSC resolver's ranked insertion candidates, which it validates concurrently,
+// extending the parent state graph incrementally around the inserted signal
+// instead of rebuilding it per candidate (Stats.CSCStatesReused,
+// CSCStatesExpanded and CSCFullRebuilds report the reuse).  The unfolding
+// segment is always built by one goroutine.  The determinism guarantee is
+// explicit and test-enforced: for every specification and every n, the
+// unfolding segment, the state-graph trajectory and the synthesized
+// implementation are byte-identical to the sequential run — the parallel
+// candidate scan picks the same winner as the sequential rank-order scan.
+// The worker count is therefore a pure throughput knob:
 // changing it can never change a result, which is also why CacheKey
 // deliberately excludes it (a result synthesized at one width is served
 // verbatim at any other).  Progress callbacks stay serialized on the

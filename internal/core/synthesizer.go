@@ -70,9 +70,6 @@ type Options struct {
 	Arch gatelib.Architecture
 	// MaxEvents bounds the size of the unfolding segment (0 = default).
 	MaxEvents int
-	// Workers bounds the parallelism of the segment construction (see
-	// unfolding.Options.Workers); <= 1 selects the sequential path.
-	Workers int
 	// SkipSemiModularityCheck disables the structural semi-modularity check
 	// (useful for benchmarking the synthesis core in isolation).
 	SkipSemiModularityCheck bool
@@ -270,7 +267,7 @@ func (s *Synthesizer) buildGate(g *stg.STG, sig int, on, off, erPlus, erMinus *b
 // as the synthesizer; used by callers that only need the segment or its
 // verification.
 func Unfold(ctx context.Context, g *stg.STG, opts Options) (*unfolding.Unfolding, error) {
-	uopts := unfolding.Options{MaxEvents: opts.MaxEvents, Workers: opts.Workers}
+	uopts := unfolding.Options{MaxEvents: opts.MaxEvents}
 	if p := opts.Progress; p != nil {
 		uopts.Progress = func(events int) { p("unfold", "", events) }
 	}

@@ -104,7 +104,7 @@ func TestJSONReportRoundTrip(t *testing.T) {
 	facade := []FacadePoint{{Spec: "fig1", Runs: 3, Parse: time.Millisecond, Synth: 2 * time.Millisecond, Total: 3 * time.Millisecond, Literals: 5, Events: 8}}
 	cache := []CachePoint{{Spec: "fig1", Runs: 3, Cold: 4 * time.Millisecond, Warm: 2 * time.Microsecond, Speedup: 2000, Literals: 2}}
 	disk := []CachePoint{{Spec: "fig1", Runs: 3, Cold: 4 * time.Millisecond, Warm: 80 * time.Microsecond, Speedup: 50, Literals: 2}}
-	report := NewReport(rows, points, facade, cache, disk, nil, nil, nil, time.Unix(0, 0))
+	report := NewReport(rows, points, facade, cache, disk, nil, nil, time.Unix(0, 0))
 
 	if len(report.Table1) != len(rows) || len(report.Figure6) != len(points) {
 		t.Fatalf("report sizes: table1=%d figure6=%d", len(report.Table1), len(report.Figure6))

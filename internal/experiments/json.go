@@ -70,18 +70,6 @@ type JSONCachePoint struct {
 	Literals    int     `json:"literals"`
 }
 
-// JSONParallelPoint is the JSON shape of one parallel-unfolding measurement.
-type JSONParallelPoint struct {
-	Spec       string  `json:"spec"`
-	Workers    int     `json:"workers"`
-	Runs       int     `json:"runs"`
-	SeqSeconds float64 `json:"seq_seconds"`
-	ParSeconds float64 `json:"par_seconds"`
-	Speedup    float64 `json:"speedup"`
-	Identical  bool    `json:"identical"`
-	Events     int     `json:"events"`
-}
-
 // JSONResolveRetryPoint is the JSON shape of one CSC-retry sweep.
 type JSONResolveRetryPoint struct {
 	Seeds             int     `json:"seeds"`
@@ -117,10 +105,7 @@ type Report struct {
 	// by the on-disk tier through fresh in-memory tiers, i.e. the cost of a
 	// warm request after a daemon restart.
 	DiskCache []JSONCachePoint `json:"disk_cache,omitempty"`
-	// Parallel holds the sharded-possible-extension measurements (sequential
-	// vs WithWorkers unfold, with the byte-identity verdict); ResolveRetry the
-	// full-rebuild-vs-incremental CSC-resolution sweep.
-	Parallel     []JSONParallelPoint     `json:"parallel,omitempty"`
+	// ResolveRetry holds the full-rebuild-vs-incremental CSC-resolution sweep.
 	ResolveRetry []JSONResolveRetryPoint `json:"resolve_retry,omitempty"`
 	// Decompose holds the compositional-synthesis measurements (monolithic vs
 	// split-synthesize-recombine, with the output-identity verdict).
@@ -128,7 +113,7 @@ type Report struct {
 }
 
 // NewReport converts measured rows and points into the JSON report shape.
-func NewReport(rows []Table1Row, points []Figure6Point, facade []FacadePoint, cache, disk []CachePoint, parallel []ParallelPoint, retry []ResolveRetryPoint, decomp []DecomposePoint, now time.Time) Report {
+func NewReport(rows []Table1Row, points []Figure6Point, facade []FacadePoint, cache, disk []CachePoint, retry []ResolveRetryPoint, decomp []DecomposePoint, now time.Time) Report {
 	r := Report{GeneratedAt: now.UTC().Format(time.RFC3339)}
 	for _, p := range decomp {
 		r.Decompose = append(r.Decompose, JSONDecomposePoint{
@@ -140,18 +125,6 @@ func NewReport(rows []Table1Row, points []Figure6Point, facade []FacadePoint, ca
 			Speedup:     p.Speedup,
 			Identical:   p.Identical,
 			Literals:    p.Literals,
-		})
-	}
-	for _, p := range parallel {
-		r.Parallel = append(r.Parallel, JSONParallelPoint{
-			Spec:       p.Spec,
-			Workers:    p.Workers,
-			Runs:       p.Runs,
-			SeqSeconds: p.Sequential.Seconds(),
-			ParSeconds: p.Parallel.Seconds(),
-			Speedup:    p.Speedup,
-			Identical:  p.Identical,
-			Events:     p.Events,
 		})
 	}
 	for _, p := range retry {

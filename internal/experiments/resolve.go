@@ -6,28 +6,6 @@ import (
 	"time"
 )
 
-// ParallelPoint is one unfold-only parallelism measurement: the same
-// specification unfolded sequentially and with a sharded possible-extension
-// pool, plus the byte-identity check that makes the worker count a pure
-// throughput knob.  The measurement itself lives in punt/bench, which can
-// import the facade.
-type ParallelPoint struct {
-	Spec string
-	// Workers is the pool width of the parallel run (GOMAXPROCS by default).
-	Workers int
-	// Runs is how many repetitions each average covers.
-	Runs int
-	// Sequential and Parallel are the average unfold-only times.
-	Sequential time.Duration
-	Parallel   time.Duration
-	// Speedup is Sequential/Parallel.
-	Speedup float64
-	// Identical reports whether the two segments dumped byte-identically —
-	// the determinism guarantee, checked on every run.
-	Identical bool
-	Events    int
-}
-
 // ResolveRetryPoint aggregates one CSC-resolution retry sweep: the same
 // conflicted specifications resolved once with full state-graph rebuilds per
 // candidate and once with incremental extension.  The measurement itself
@@ -47,20 +25,6 @@ type ResolveRetryPoint struct {
 	IncrementalBuilds int
 	FullRebuilds      int
 	StatesReused      int
-}
-
-// FormatParallel renders the parallel-unfolding measurements as a table.
-func FormatParallel(points []ParallelPoint) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-14s %3s %5s | %10s %10s %8s | %9s %7s\n",
-		"Spec", "W", "Runs", "Seq", "Par", "Speedup", "Identical", "Events")
-	sb.WriteString(strings.Repeat("-", 78) + "\n")
-	for _, p := range points {
-		fmt.Fprintf(&sb, "%-14s %3d %5d | %10v %10v %7.2fx | %9t %7d\n",
-			p.Spec, p.Workers, p.Runs, p.Sequential.Round(time.Microsecond),
-			p.Parallel.Round(time.Microsecond), p.Speedup, p.Identical, p.Events)
-	}
-	return sb.String()
 }
 
 // FormatResolveRetry renders the retry-sweep measurement as a table.

@@ -29,12 +29,6 @@ import (
 const (
 	// OpUnfoldPop: the unfolding builder's possible-extension loop.
 	OpUnfoldPop = "unfolding.pop"
-	// OpUnfoldShard: a per-task checkpoint inside the unfolding builder's
-	// parallel worker pool (Workers > 1).  Faults here land mid-shard, on
-	// worker goroutines: a cancel must drain the round without deadlocking
-	// and a panic must resurface on the Build goroutine after the pool is
-	// quiescent.
-	OpUnfoldShard = "unfolding.shard"
 	// OpStategraphExpand: the explicit state-graph BFS expansion loop.
 	OpStategraphExpand = "stategraph.expand"
 	// OpExplicitCovers: the explicit baseline's per-signal cover loop.
@@ -65,7 +59,7 @@ const (
 // EngineOps are the checkpoints inside backend synthesis runs, where an
 // injected panic is recovered by the dispatch layer.  Schedule only assigns
 // ActPanic to these.
-var EngineOps = []string{OpUnfoldPop, OpUnfoldShard, OpStategraphExpand, OpExplicitCovers, OpSymbolicFixpoint, OpCoreCovers}
+var EngineOps = []string{OpUnfoldPop, OpStategraphExpand, OpExplicitCovers, OpSymbolicFixpoint, OpCoreCovers}
 
 // FacadeOps are the checkpoints in facade code outside the backends, where a
 // panic would be a real bug: Schedule assigns only non-panicking actions.

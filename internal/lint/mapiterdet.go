@@ -11,8 +11,9 @@ import (
 // covers, gate netlists), iterating a map while appending to a slice,
 // writing output or feeding a hash bakes Go's randomized map order into the
 // artifact unless a deterministic sort follows.  This is exactly the class
-// of bug that would silently break the Workers(1)≡Workers(N) segment
-// equality enforced since PR 8.
+// of bug that would silently change a segment from run to run, which the
+// pinned segment hashes and the Workers(1)≡Workers(N) output identity
+// enforce.
 var MapIterDet = &Analyzer{
 	Name: "mapiterdet",
 	Doc: "flags `for range` over a map whose body appends to a slice, writes output or feeds\n" +

@@ -127,7 +127,7 @@ func colorAssignment(sg *stategraph.Graph, rise, fall petri.TransitionID) (value
 // candidate lists are produced in the same inner-loop order whichever worker
 // claims them, flattened in rise order, and the final ranking sort is a total
 // order over unique (rise, fall) pairs — so the parallel path is a pure
-// throughput knob, exactly like the unfolding pool's.
+// throughput knob.
 func findCandidates(sg *stategraph.Graph, conflicts []stategraph.CSCConflict, workers int) []candidate {
 	g := sg.STG
 	m := g.Net().NumTransitions()

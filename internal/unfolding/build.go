@@ -70,20 +70,13 @@ type Options struct {
 	// MaxEvents aborts construction with ErrEventLimit when the number of
 	// non-root events exceeds this value (0 means 1,000,000).
 	MaxEvents int
-	// Workers bounds the parallelism of the per-event work: the co-relation
-	// update, the final-state derivation and the possible-extension searches
-	// are sharded across Workers goroutines (the coordinator included) and
-	// merged deterministically, so the segment is byte-identical to the
-	// sequential build.  Values <= 1 select the sequential path.
-	Workers int
 	// DebugCheck cross-validates the incremental cut/code/marking engine
 	// against a full replay of every local configuration (the original
 	// construction).  It is quadratic and meant for tests only.
 	DebugCheck bool
 	// Progress, when non-nil, is called periodically with the number of
-	// events instantiated so far.  It must be cheap; it is only ever called
-	// from the goroutine running Build (even with Workers > 1), so successive
-	// event counts are monotonic.
+	// events instantiated so far.  It must be cheap; it is called from the
+	// goroutine running Build, with monotonic event counts.
 	Progress func(events int)
 }
 
@@ -176,10 +169,6 @@ type builder struct {
 	common idSet         // intersection of the preset co-sets
 	diff   idSet         // parentLocal \ dominant.Local in parentCodeOf
 	search searchScratch // per-recursion-depth scratch for chooseCoset
-
-	// pool is the worker pool driving the parallel per-event fan-out; nil
-	// when Options.Workers <= 1 (the sequential path).
-	pool *pePool
 }
 
 // Build constructs the STG-unfolding segment of the STG.  The construction
@@ -203,10 +192,6 @@ func Build(ctx context.Context, g *stg.STG, opts Options) (*Unfolding, error) {
 		placeConds: map[petri.PlaceID]*idSet{},
 	}
 	b.u = &Unfolding{STG: g, bySignal: make([][]*Event, g.NumSignals())}
-	if opts.Workers > 1 {
-		b.pool = newPEPool(b, opts.Workers, faultinject.From(ctx))
-		defer b.pool.close()
-	}
 
 	if err := b.createRoot(); err != nil {
 		return nil, err
@@ -431,20 +416,18 @@ func (b *builder) buildCutSets(pe *possibleExtension, e *Event) (cut, consumed *
 	return cut, consumed
 }
 
-// instantiate turns a possible extension into an event of the segment: the
-// shared head (consistency checks, event and postset creation, the co-set
-// intersection) followed by the sequential or the pool-sharded tail.  Both
-// tails produce byte-identical segments: the parallel one merges its results
-// in the exact order the sequential code would have produced them.
+// instantiate turns a possible extension into an event of the segment:
+// consistency checks and event creation, the co-relation update, then the
+// final state, the cut-off test and the search for new extensions.
 func (b *builder) instantiate(pe *possibleExtension) error {
 	e, err := b.newEventFor(pe)
 	if err != nil {
 		return err
 	}
-	if b.pool != nil {
-		return b.finishParallel(pe, e)
+	if err := b.updateCo(pe, e); err != nil {
+		return err
 	}
-	return b.finishSequential(pe, e)
+	return b.commitState(pe, e)
 }
 
 // newEventFor validates the extension against the consistent-state-assignment
@@ -500,7 +483,7 @@ func (b *builder) newEventFor(pe *possibleExtension) (*Event, error) {
 	}
 
 	// Create the postset conditions and leave the intersection of the preset
-	// co-sets in b.common for the tails.
+	// co-sets in b.common for updateCo.
 	common := &b.common
 	common.copyFrom(b.co[pe.preset[0].ID])
 	for _, c := range pe.preset[1:] {
@@ -513,13 +496,13 @@ func (b *builder) newEventFor(pe *possibleExtension) (*Event, error) {
 	return e, nil
 }
 
-// finishSequential completes instantiation on the calling goroutine.
-func (b *builder) finishSequential(pe *possibleExtension, e *Event) error {
-	// Update the concurrency relation: co(c) for c in e• is the intersection
-	// of the co-sets of the preset conditions, plus the siblings in e•, so
-	// the forward rows are a word-level copy of b.common.  A condition of the
-	// parent cut that stays concurrent with a same-place postset condition
-	// would mean the place can hold two tokens at once: the net is not safe.
+// updateCo extends the concurrency relation to the postset of e: co(c) for c
+// in e• is the intersection of the co-sets of the preset conditions, plus the
+// siblings in e•, so the forward rows are a word-level copy of b.common.  A
+// condition of the parent cut that stays concurrent with a same-place postset
+// condition would mean the place can hold two tokens at once: the net is not
+// safe.
+func (b *builder) updateCo(pe *possibleExtension, e *Event) error {
 	common := &b.common
 	for _, c := range e.Postset {
 		co := b.co[c.ID]
@@ -550,23 +533,20 @@ func (b *builder) finishSequential(pe *possibleExtension, e *Event) error {
 			Tokens:     2,
 		}
 	}
-
-	// Final state of the local configuration, derived incrementally from the
-	// preset producers.
-	cutSet, consumedSet := b.buildCutSets(pe, e)
-	cut := make([]*Condition, 0, cutSet.count())
-	cutSet.forEach(func(id int) { cut = append(cut, b.u.Conditions[id]) })
-	return b.commitState(e, cutSet, consumedSet, cut, markingOfCut(cut))
+	return nil
 }
 
-// commitState records the event's final state (cut, marking, cut-off status)
-// and, unless the event is a cut-off, searches its postset for new possible
-// extensions.  Shared by the sequential and the parallel tails.
-func (b *builder) commitState(e *Event, cutSet, consumedSet *idSet, cut []*Condition, marking petri.Marking) error {
+// commitState records the event's final state (cut, marking, cut-off status),
+// derived incrementally from the preset producers, and, unless the event is a
+// cut-off, searches its postset for new possible extensions.
+func (b *builder) commitState(pe *possibleExtension, e *Event) error {
+	cutSet, consumedSet := b.buildCutSets(pe, e)
 	b.cutSets = append(b.cutSets, cutSet)
 	b.consumedSets = append(b.consumedSets, consumedSet)
+	cut := make([]*Condition, 0, cutSet.count())
+	cutSet.forEach(func(id int) { cut = append(cut, b.u.Conditions[id]) })
 	e.Cut = cut
-	e.Marking = marking
+	e.Marking = markingOfCut(cut)
 	if b.opts.DebugCheck {
 		replay := b.cutOfConfig(e.Local)
 		if !SameCut(e.Cut, replay) {
@@ -587,9 +567,6 @@ func (b *builder) commitState(e *Event, cutSet, consumedSet *idSet, cut []*Condi
 	for _, c := range e.Postset {
 		b.markLive(c)
 	}
-	if b.pool != nil {
-		return b.pool.searchExtensions(e)
-	}
 	for _, c := range e.Postset {
 		b.findExtensionsWith(c)
 	}
@@ -600,44 +577,24 @@ func (b *builder) commitState(e *Event, cutSet, consumedSet *idSet, cut []*Condi
 // the (freshly created) condition c.
 func (b *builder) findExtensionsWith(c *Condition) {
 	for _, t := range b.net.PlacePost(c.Place) {
-		b.searchTransition(t, c, &b.search, b.emitPE)
-	}
-}
-
-// emitPE is the sequential emit hook: discovered extensions go straight into
-// the dedup table and the heap.
-func (b *builder) emitPE(t petri.TransitionID, c *Condition, chosen []*Condition) {
-	b.addPE(t, c, chosen)
-}
-
-// searchTransition enumerates the possible extensions of transition t whose
-// preset contains c, invoking emit for each co-set found (chosen excludes c).
-// It only reads builder state, so concurrent calls with distinct scratch are
-// safe while the segment is quiescent.
-func (b *builder) searchTransition(t petri.TransitionID, c *Condition, sc *searchScratch, emit func(t petri.TransitionID, c *Condition, chosen []*Condition)) {
-	pre := b.net.Pre(t)
-	if len(pre) == 1 {
-		emit(t, c, nil)
-		return
-	}
-	// Candidate conditions for every other preset place, restricted to
-	// conditions concurrent with c and not produced by cut-off events.
-	others := make([]petri.PlaceID, 0, len(pre)-1)
-	for _, p := range pre {
-		if p != c.Place {
-			others = append(others, p)
+		// Candidate conditions for every other preset place, restricted to
+		// conditions concurrent with c and not produced by cut-off events.
+		pre := b.net.Pre(t)
+		others := make([]petri.PlaceID, 0, len(pre)-1)
+		for _, p := range pre {
+			if p != c.Place {
+				others = append(others, p)
+			}
 		}
+		if len(others) == 0 {
+			b.addPE(t, c, nil)
+			continue
+		}
+		b.chooseCoset(t, c, others, make([]*Condition, 0, len(others)), b.co[c.ID])
 	}
-	if len(others) == 0 {
-		emit(t, c, nil)
-		return
-	}
-	chosen := make([]*Condition, 0, len(others))
-	b.chooseCoset(t, c, others, chosen, b.co[c.ID], sc, emit)
 }
 
-// searchScratch is the per-recursion-depth scratch of one chooseCoset caller;
-// every goroutine searching concurrently owns its own instance.
+// searchScratch is the per-recursion-depth scratch of chooseCoset.
 type searchScratch struct {
 	cand []*idSet // candidate sets, one per recursion depth
 	co   []*idSet // accumulated co-sets, one per recursion depth
@@ -658,19 +615,19 @@ func (sc *searchScratch) at(depth int) (cands, coAcc *idSet) {
 // coAcc is the intersection of the co-sets of c and every chosen condition;
 // the candidates for the next place are coAcc ∩ placeConds[place], computed a
 // word at a time instead of filtering the place's conditions one by one.
-func (b *builder) chooseCoset(t petri.TransitionID, c *Condition, remaining []petri.PlaceID, chosen []*Condition, coAcc *idSet, sc *searchScratch, emit func(t petri.TransitionID, c *Condition, chosen []*Condition)) {
+func (b *builder) chooseCoset(t petri.TransitionID, c *Condition, remaining []petri.PlaceID, chosen []*Condition, coAcc *idSet) {
 	place := remaining[0]
-	cands, nextCo := sc.at(len(chosen))
+	cands, nextCo := b.search.at(len(chosen))
 	cands.intersectInto(coAcc, b.placeConds[place])
 	if len(remaining) == 1 {
 		cands.forEach(func(id int) {
-			emit(t, c, append(chosen, b.u.Conditions[id]))
+			b.addPE(t, c, append(chosen, b.u.Conditions[id]))
 		})
 		return
 	}
 	cands.forEach(func(id int) {
 		nextCo.intersectInto(coAcc, b.co[id])
-		b.chooseCoset(t, c, remaining[1:], append(chosen, b.u.Conditions[id]), nextCo, sc, emit)
+		b.chooseCoset(t, c, remaining[1:], append(chosen, b.u.Conditions[id]), nextCo)
 	})
 }
 
@@ -688,22 +645,13 @@ func peHash(t petri.TransitionID, preset []*Condition) uint64 {
 	return h
 }
 
-// addPE builds the sorted preset of a freshly discovered co-set and hands it
-// to pushPE.
+// addPE sorts the preset of a freshly discovered co-set by condition ID,
+// deduplicates the possible extension and pushes it onto the queue.
 func (b *builder) addPE(t petri.TransitionID, c *Condition, chosen []*Condition) {
 	preset := make([]*Condition, 0, len(chosen)+1)
 	preset = append(preset, c)
 	preset = append(preset, chosen...)
 	sort.Slice(preset, func(i, j int) bool { return preset[i].ID < preset[j].ID })
-	b.pushPE(t, preset)
-}
-
-// pushPE deduplicates a possible extension (preset already sorted by condition
-// ID) and pushes it onto the queue.  Only the goroutine running Build may call
-// it: the parallel path funnels worker-discovered candidates through here in
-// the exact order the sequential search would have produced them, so the seq
-// tie-break — and therefore the whole segment — is byte-identical.
-func (b *builder) pushPE(t petri.TransitionID, preset []*Condition) {
 	h := peHash(t, preset)
 	for _, fp := range b.seenPE[h] {
 		if fp.matches(t, preset) {

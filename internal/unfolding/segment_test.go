@@ -83,16 +83,6 @@ func TestSegmentDumpGolden(t *testing.T) {
 	}
 }
 
-// TestSequentialDebugCheck builds pipeline-12 with the incremental-engine
-// cross-validation on: every event's incremental cut, marking and parent
-// code must agree with the full replay.
-func TestSequentialDebugCheck(t *testing.T) {
-	g := benchgen.MullerPipelineWithSignals(12)
-	if _, err := Build(context.Background(), g, Options{DebugCheck: true}); err != nil {
-		t.Fatalf("DebugCheck build: %v", err)
-	}
-}
-
 // TestProgressMonotonic checks that Progress is called during a build and
 // that the event counts it reports never decrease.
 func TestProgressMonotonic(t *testing.T) {

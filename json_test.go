@@ -112,6 +112,46 @@ func TestLegacyResultDocDecodes(t *testing.T) {
 	}
 }
 
+// TestPEParallelResultDocDecodes proves that format-1 documents written while
+// Stats still carried the pe_parallel flag stay readable, so stored cache
+// entries stay warm: the unknown field is ignored, the rest of the stats
+// survive, and the re-encoded document (without the flag) round-trips
+// byte-identically.
+func TestPEParallelResultDocDecodes(t *testing.T) {
+	doc := strings.Replace(legacyResultDoc, `"states":8,`, `"states":8,"workers":2,"pe_parallel":true,`, 1)
+	if !strings.Contains(doc, `"pe_parallel":true`) {
+		t.Fatal("fixture does not carry pe_parallel")
+	}
+	res, err := DecodeResult([]byte(doc))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if res.Stats.Engine != Explicit || res.Stats.States != 8 || res.Stats.Workers != 2 {
+		t.Errorf("stats = %+v, want the explicit engine over 8 states at 2 workers", res.Stats)
+	}
+	again, err := EncodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(again), "pe_parallel") || !strings.Contains(string(again), `"workers":2`) {
+		t.Errorf("re-encoded document: %s", again)
+	}
+	back, err := DecodeResult(again)
+	if err != nil {
+		t.Fatalf("decode of the re-encoded document: %v", err)
+	}
+	if back.Eqn() != res.Eqn() {
+		t.Errorf("equations changed across the round trip:\n got %q\nwant %q", back.Eqn(), res.Eqn())
+	}
+	third, err := EncodeResult(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, third) {
+		t.Errorf("round trip is not byte-stable:\n first %s\nsecond %s", again, third)
+	}
+}
+
 // TestResultJSONRejectsCorruption exercises the decode-side validation: a
 // tampered document must fail, never yield a half-usable Result.
 func TestResultJSONRejectsCorruption(t *testing.T) {

@@ -186,14 +186,13 @@ func WithCache(cache Cache) Option { return func(c *config) { c.cache = cache } 
 // Progress.Engine attributing each notification to its backend.
 func WithProgress(fn func(Progress)) Option { return func(c *config) { c.progress = fn } }
 
-// WithWorkers bounds parallelism at every level it exists: how many Batch
-// specifications synthesize at once (0 = GOMAXPROCS), how many portfolio
-// contenders run concurrently (0 = all at once), how many goroutines the
-// unfolding engine shards its possible-extension computation across, and how
-// many candidate validations the CSC resolver runs in parallel (<= 1 keeps
-// both engine loops sequential).  Intra-engine parallelism is deterministic:
-// a WithWorkers(n > 1) run produces output byte-identical to the sequential
-// one, and the result-cache key deliberately excludes the worker count.
+// WithWorkers bounds how many independent jobs run at once: Batch
+// specifications (0 = GOMAXPROCS), portfolio contenders (0 = all at once),
+// decompose components and the CSC resolver's candidate validations (<= 1
+// keeps the last two sequential).  These jobs share no state, and the
+// unfolding segment is always built by one goroutine, so a WithWorkers(n > 1)
+// run produces output byte-identical to the sequential one and the
+// result-cache key deliberately excludes the worker count.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // Contender records the outcome of one portfolio contender.
@@ -359,12 +358,9 @@ type Stats struct {
 	CSCFullRebuilds int `json:"csc_full_rebuilds,omitempty"`
 
 	// Workers is the WithWorkers parallelism the producing run was configured
-	// with; PEParallel reports that the unfolding engine's possible-extension
-	// loop actually ran sharded across the worker pool.  The output is
-	// byte-identical either way (and the cache key excludes the worker
-	// count), so cached results may report the original run's values.
-	Workers    int  `json:"workers,omitempty"`
-	PEParallel bool `json:"pe_parallel,omitempty"`
+	// with.  The output does not depend on it (and the cache key excludes it),
+	// so cached results may report the original run's value.
+	Workers int `json:"workers,omitempty"`
 }
 
 // String summarises the stats in the engine's natural vocabulary, covering
@@ -427,7 +423,7 @@ func (s *Stats) String() string {
 			s.CSCStatesReused, s.CSCStatesExpanded, s.CSCFullRebuilds)
 	}
 	if s.Workers > 1 {
-		fmt.Fprintf(&sb, " workers=%d pe-parallel=%t", s.Workers, s.PEParallel)
+		fmt.Fprintf(&sb, " workers=%d", s.Workers)
 	}
 	if s.Cached {
 		sb.WriteString(" cached=true")
