@@ -61,6 +61,26 @@ func TestIncrementalMatchesReplay(t *testing.T) {
 	}
 }
 
+// TestParallelDebugCheck builds the pipeline-12 segment with the
+// incremental-engine cross-validation on and checks that the replay oracle
+// leaves the segment byte-identical. The name predates the removal of the
+// sharded possible-extension pool; the build is now always sequential.
+func TestParallelDebugCheck(t *testing.T) {
+	ctx := context.Background()
+	g := benchgen.MullerPipelineWithSignals(12)
+	checked, err := Build(ctx, g, Options{DebugCheck: true})
+	if err != nil {
+		t.Fatalf("DebugCheck build: %v", err)
+	}
+	plain, err := Build(ctx, g, Options{})
+	if err != nil {
+		t.Fatalf("plain build: %v", err)
+	}
+	if checked.Dump() != plain.Dump() {
+		t.Fatalf("DebugCheck changed the segment (%d vs %d events)", checked.NumEvents(), plain.NumEvents())
+	}
+}
+
 // TestHashedCutoffMatchesStringKeyed verifies that the hash-keyed cut-off
 // detection reproduces the seed's string-keyed behaviour: replaying events in
 // instantiation order against a string-keyed (marking, code) table must mark
