@@ -10,10 +10,13 @@ package punt
 //   - BenchmarkUnfoldOnly / BenchmarkExactMode — ablations of two design
 //     choices: segment construction cost, and exact versus approximated
 //     cover derivation
+//   - BenchmarkDecompose           — monolithic versus compositional
+//     (split, synthesize components, recombine) synthesis
 //
 // Run them all with:  go test -bench=. -benchmem
-// go run ./cmd/benchtab -table1 (or -figure6) prints the same series as
-// tables.
+// go run ./cmd/benchtab -table1 (or -figure6) prints the Table 1 and Figure 6
+// series as tables; puntbench (bash puntbench/run.sh) is the end-to-end
+// benchmark and keeps the perf record.
 
 import (
 	"context"
@@ -212,6 +215,34 @@ func BenchmarkBatchTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, sum := New().Batch(context.Background(), items); sum.Failed != 0 {
 			b.Fatalf("batch failed: %+v", sum)
+		}
+	}
+}
+
+// BenchmarkDecompose prices the compositional engine against the monolithic
+// unfolding flow end to end.  Counterflow splits into two independent
+// pipelines; pipeline-22 is indivisible, so its decompose case prices the
+// fallthrough.  TestDecomposeCounterflow pins that both engines print the
+// same equations and Verilog.
+func BenchmarkDecompose(b *testing.B) {
+	specs := []struct {
+		name string
+		spec *Spec
+	}{
+		{"counterflow", CounterflowPipeline()},
+		{"pipeline-22", MullerPipelineWithSignals(22)},
+	}
+	for _, s := range specs {
+		for _, engine := range []string{Unfolding, Decompose} {
+			b.Run(s.name+"/"+engine, func(b *testing.B) {
+				synth := New(WithEngine(engine))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := synth.Synthesize(context.Background(), s.spec); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -108,6 +108,18 @@ func TestDecomposeCounterflow(t *testing.T) {
 	if !strings.Contains(res.Stats.String(), "decomposed=2[") {
 		t.Errorf("Stats.String misses the component breakdown: %s", res.Stats.String())
 	}
+	// The split must not change the circuit: the recombined result prints
+	// exactly what the monolithic unfolding engine prints.
+	mono, err := New(WithEngine(Unfolding)).Synthesize(ctx, spec)
+	if err != nil {
+		t.Fatalf("monolithic synthesis: %v", err)
+	}
+	if res.Eqn() != mono.Eqn() {
+		t.Errorf("decompose equations differ from monolithic:\n%s\nvs\n%s", res.Eqn(), mono.Eqn())
+	}
+	if res.Verilog() != mono.Verilog() {
+		t.Error("decompose Verilog differs from monolithic")
+	}
 }
 
 // TestDecomposeIndivisibleByteIdentical pins the fallthrough contract on

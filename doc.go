@@ -31,8 +31,8 @@
 // bound cannot repair the conflict does Synthesize still fail with KindCSC.
 // Unfold and BuildStateGraph expose the segment and the explicit state graph
 // for analysis (BuildStateGraph's CSCConflicts returns the structured
-// conflict cores: state pairs, differing outputs, witness traces); punt/bench
-// re-runs the paper's evaluation.
+// conflict cores: state pairs, differing outputs, witness traces); the
+// benchtab command re-runs the paper's evaluation.
 //
 // The engine layer is open: synthesis engines are Backend implementations in
 // a package-level registry (Register, Backends), the builtin four included,
@@ -111,8 +111,8 @@
 // local configurations; causality, concurrency and co-set candidate pruning
 // run on word-level bit sets; and cut-off detection uses collision-verified
 // 64-bit hash tables instead of string keys.  See the package documentation
-// of internal/unfolding for details, and cmd/benchtab's -json flag for the
-// machine-readable perf trajectory the benchmarks are tracked with.
+// of internal/unfolding for details, and the puntbench module for the
+// benchmark whose -record/-compare files keep the perf trajectory.
 //
 // WithWorkers(n) bounds only jobs that share no state: Batch items,
 // portfolio contenders, decompose components and, inside one synthesis, the

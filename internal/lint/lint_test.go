@@ -53,7 +53,7 @@ func TestIsFacadePackage(t *testing.T) {
 			t.Errorf("%s not treated as facade", path)
 		}
 	}
-	for _, path := range []string{"punt/internal/core", "punt/bench", "punt/gates"} {
+	for _, path := range []string{"punt/internal/core", "punt/internal/benchgen", "punt/gates"} {
 		if isFacadePackage(&Package{PkgPath: path}) {
 			t.Errorf("%s treated as facade", path)
 		}

@@ -11,8 +11,8 @@ import (
 // BenchmarkUnfoldIncremental measures segment construction alone — the hot
 // path of the whole system — on specifications of increasing size.  The
 // larger pipelines are where the incremental state engine and the word-level
-// co-relation pay off; track these numbers across PRs via cmd/benchtab's
-// JSON output.
+// co-relation pay off; puntbench's segments workload tracks the same work end
+// to end.
 func BenchmarkUnfoldIncremental(b *testing.B) {
 	cases := []struct {
 		name string
