@@ -102,7 +102,7 @@ func synthesizeComponents(ctx context.Context, spec *Spec, plan *decompose.Plan,
 	comps := plan.Components
 	subSpecs := make([]*Spec, len(comps))
 	for i := range comps {
-		sp, err := wrapSpec(comps[i].Sub)
+		sp, err := wrapSpec(ctx, comps[i].Sub)
 		if err != nil {
 			return nil, err
 		}

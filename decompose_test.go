@@ -62,7 +62,7 @@ func unionSpecs(t *testing.T, name string, parts ...*Spec) *Spec {
 		}
 	}
 	g.SetInitialState(bitvec.FromBools(bits))
-	spec, err := wrapSpec(g)
+	spec, err := wrapSpec(context.Background(), g)
 	if err != nil {
 		t.Fatalf("union spec %s: %v", name, err)
 	}
@@ -306,7 +306,7 @@ func TestDecomposeRandomSweep(t *testing.T) {
 	comp := New(WithEngine(Decompose), WithWorkers(4))
 	for seed := int64(0); seed < 100; seed++ {
 		g := benchgen.RandomSTG(seed, 4+int(seed%14))
-		spec, err := wrapSpec(g)
+		spec, err := wrapSpec(context.Background(), g)
 		if err != nil {
 			continue
 		}

@@ -42,7 +42,8 @@ var (
 	// (Verify); matched by conformance, hazard and liveness violations alike.
 	ErrVerification = errors.New("punt: implementation fails verification")
 	// ErrFormat: a serialized Result document (wire or disk) is malformed —
-	// wrong format version, missing implementation, or a spec-hash mismatch.
+	// not JSON, wrong format version, an embedded specification that does
+	// not load, missing or invalid implementation, or a spec-hash mismatch.
 	// The cache layers treat it as a miss; remote clients see a decode
 	// failure they can match with errors.Is.
 	ErrFormat = errors.New("punt: malformed result document")

@@ -11,6 +11,7 @@ import (
 	"punt/internal/gatelib"
 	"punt/internal/petri"
 	"punt/internal/stg"
+	"punt/internal/unfolding"
 )
 
 // SymbolicSynthesizer is the "Petrify-like" baseline: the reachable state
@@ -34,7 +35,7 @@ func (s *SymbolicSynthesizer) Synthesize(ctx context.Context, g *stg.STG) (*gate
 	stats := &Stats{}
 	total := time.Now()
 	if !g.HasInitialState() {
-		if err := g.InferInitialState(0); err != nil {
+		if err := unfolding.DeriveInitialState(ctx, g); err != nil {
 			return nil, stats, err
 		}
 	}

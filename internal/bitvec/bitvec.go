@@ -213,6 +213,15 @@ func (v Vec) And(w Vec) {
 	}
 }
 
+// Xor sets v to the bitwise exclusive OR of v and w.  The vectors must have
+// equal length.
+func (v Vec) Xor(w Vec) {
+	v.sameLen(w)
+	for i := range v.words {
+		v.words[i] ^= w.words[i]
+	}
+}
+
 // AndNot clears in v every bit that is set in w.
 func (v Vec) AndNot(w Vec) {
 	v.sameLen(w)

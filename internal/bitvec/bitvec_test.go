@@ -107,6 +107,11 @@ func TestSetOps(t *testing.T) {
 	if c.String() != "0100" {
 		t.Fatalf("AndNot = %s, want 0100", c.String())
 	}
+	c = a.Clone()
+	c.Xor(b)
+	if c.String() != "0110" {
+		t.Fatalf("Xor = %s, want 0110", c.String())
+	}
 	if !a.Intersects(b) {
 		t.Fatal("a and b intersect")
 	}

@@ -250,9 +250,6 @@ func TestNonSemiModularRejected(t *testing.T) {
 	g.AddArcTP(tOutM, p0)
 	g.AddArcTP(tInM, p0)
 	g.MarkInitially(p0)
-	if err := g.InferInitialState(0); err != nil {
-		t.Fatal(err)
-	}
 	_, _, err := New(Options{}).Synthesize(context.Background(), g)
 	if !errors.Is(err, ErrNotSemiModular) {
 		t.Fatalf("expected ErrNotSemiModular, got %v", err)

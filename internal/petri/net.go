@@ -8,6 +8,8 @@ package petri
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -23,6 +25,7 @@ type Net struct {
 	name       string
 	placeNames []string
 	transNames []string
+	placeIDs   map[string]PlaceID // placeNames inverted
 
 	pre  [][]PlaceID // pre[t]: input places of transition t (•t)
 	post [][]PlaceID // post[t]: output places of transition t (t•)
@@ -53,16 +56,33 @@ func (n *Net) NumTransitions() int { return len(n.transNames) }
 // AddPlace adds a place with the given name and returns its identifier.
 // Place names must be unique; AddPlace panics on duplicates.
 func (n *Net) AddPlace(name string) PlaceID {
-	for _, existing := range n.placeNames {
-		if existing == name {
-			panic(fmt.Sprintf("petri: duplicate place name %q", name))
-		}
+	if _, dup := n.placeIDs[name]; dup {
+		panic(fmt.Sprintf("petri: duplicate place name %q", name))
+	}
+	if n.placeIDs == nil {
+		n.placeIDs = map[string]PlaceID{}
 	}
 	id := PlaceID(len(n.placeNames))
+	n.placeIDs[name] = id
 	n.placeNames = append(n.placeNames, name)
 	n.placeOut = append(n.placeOut, nil)
 	n.placeIn = append(n.placeIn, nil)
 	return id
+}
+
+// Grow reserves room for the given numbers of further places and
+// transitions, so that a net whose size is known in advance is built without
+// reallocating its tables.
+func (n *Net) Grow(places, transitions int) {
+	if n.placeIDs == nil {
+		n.placeIDs = make(map[string]PlaceID, places)
+	}
+	n.placeNames = slices.Grow(n.placeNames, places)
+	n.placeOut = slices.Grow(n.placeOut, places)
+	n.placeIn = slices.Grow(n.placeIn, places)
+	n.transNames = slices.Grow(n.transNames, transitions)
+	n.pre = slices.Grow(n.pre, transitions)
+	n.post = slices.Grow(n.post, transitions)
 }
 
 // AddTransition adds a transition with the given name and returns its
@@ -117,6 +137,7 @@ func (n *Net) Clone() *Net {
 		name:       n.name,
 		placeNames: append([]string(nil), n.placeNames...),
 		transNames: append([]string(nil), n.transNames...),
+		placeIDs:   maps.Clone(n.placeIDs),
 		pre:        cloneIDLists(n.pre),
 		post:       cloneIDLists(n.post),
 		placeOut:   cloneIDLists(n.placeOut),
@@ -175,10 +196,8 @@ func (n *Net) TransitionName(t TransitionID) string {
 
 // PlaceByName looks a place up by name.
 func (n *Net) PlaceByName(name string) (PlaceID, bool) {
-	for i, p := range n.placeNames {
-		if p == name {
-			return PlaceID(i), true
-		}
+	if id, ok := n.placeIDs[name]; ok {
+		return id, true
 	}
 	return -1, false
 }

@@ -18,6 +18,7 @@ import (
 	"punt/internal/faultinject"
 	"punt/internal/petri"
 	"punt/internal/stg"
+	"punt/internal/unfolding"
 )
 
 // ErrStateLimit is returned when the exploration exceeds the configured
@@ -96,13 +97,14 @@ type Options struct {
 // cancellation checks.
 const cancelCheckInterval = 1024
 
-// Build explores the reachable state space of the STG.  The STG must have an
-// initial binary state (set explicitly or inferred).  Build fails on
+// Build explores the reachable state space of the STG.  An STG without an
+// initial binary state gets the one its unfolding segment implies
+// (unfolding.DeriveInitialState), which needs a 1-safe net.  Build fails on
 // unbounded nets, on violations of consistent state assignment, when the
 // state limit is exceeded and when ctx is cancelled.
 func Build(ctx context.Context, g *stg.STG, opts Options) (*Graph, error) {
 	if !g.HasInitialState() {
-		if err := g.InferInitialState(opts.MaxStates); err != nil {
+		if err := unfolding.DeriveInitialState(ctx, g); err != nil {
 			return nil, err
 		}
 	}

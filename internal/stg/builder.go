@@ -2,7 +2,6 @@ package stg
 
 import (
 	"fmt"
-	"regexp"
 	"strconv"
 	"strings"
 
@@ -20,8 +19,6 @@ type Builder struct {
 	trans map[string]petri.TransitionID
 	err   error
 }
-
-var edgeRE = regexp.MustCompile(`^([A-Za-z_][A-Za-z0-9_.\[\]]*)([+\-~])(?:/([0-9]+))?$`)
 
 // NewBuilder returns a builder for a new STG with the given name.
 func NewBuilder(name string) *Builder {
@@ -62,21 +59,39 @@ func (b *Builder) Internals(names ...string) *Builder {
 }
 
 // ParseEdge splits a transition reference such as "req+/2" into signal name,
-// direction and instance (0 if not given).
+// direction and instance (0 if not given).  A signal name starts with a
+// letter or '_' and continues with letters, digits and "_.[]".  A toggle
+// edge ("a~") is not a signal edge.
 func ParseEdge(s string) (signal string, dir Direction, instance int, ok bool) {
-	m := edgeRE.FindStringSubmatch(s)
-	if m == nil || m[2] == "~" {
+	edge, inst, hasInst := strings.Cut(s, "/")
+	if hasInst {
+		if inst == "" || strings.TrimLeft(inst, "0123456789") != "" {
+			return "", 0, 0, false
+		}
+		instance, _ = strconv.Atoi(inst)
+	}
+	if len(edge) < 2 || !isNameStart(edge[0]) {
 		return "", 0, 0, false
 	}
-	d := Plus
-	if m[2] == "-" {
-		d = Minus
+	signal = edge[:len(edge)-1]
+	for i := 1; i < len(signal); i++ {
+		if c := signal[i]; !isNameStart(c) && !('0' <= c && c <= '9') && c != '.' && c != '[' && c != ']' {
+			return "", 0, 0, false
+		}
 	}
-	inst := 0
-	if m[3] != "" {
-		inst, _ = strconv.Atoi(m[3])
+	switch edge[len(edge)-1] {
+	case '+':
+		dir = Plus
+	case '-':
+		dir = Minus
+	default:
+		return "", 0, 0, false
 	}
-	return m[1], d, inst, true
+	return signal, dir, instance, true
+}
+
+func isNameStart(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_'
 }
 
 // transition resolves or creates the transition named by ref ("a+", "a+/2", or

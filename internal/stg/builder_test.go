@@ -1,6 +1,8 @@
 package stg
 
 import (
+	"regexp"
+	"strconv"
 	"testing"
 )
 
@@ -117,6 +119,52 @@ func TestParseEdge(t *testing.T) {
 		if sig != tc.sig || dir != tc.dir || inst != tc.inst {
 			t.Errorf("ParseEdge(%q) = %q,%v,%d", tc.in, sig, dir, inst)
 		}
+	}
+}
+
+// edgeRE is the grammar ParseEdge implements by hand.
+var edgeRE = regexp.MustCompile(`^([A-Za-z_][A-Za-z0-9_.\[\]]*)([+\-~])(?:/([0-9]+))?$`)
+
+// TestParseEdgeMatchesRegexp checks ParseEdge against edgeRE on every string
+// of up to four characters over an alphabet that covers each character class
+// of the grammar, plus longer hand-picked references.
+func TestParseEdgeMatchesRegexp(t *testing.T) {
+	check := func(s string) {
+		sig, dir, inst, ok := ParseEdge(s)
+		m := edgeRE.FindStringSubmatch(s)
+		wantOK := m != nil && m[2] != "~"
+		if ok != wantOK {
+			t.Fatalf("ParseEdge(%q) ok=%v, grammar says %v", s, ok, wantOK)
+		}
+		if !ok {
+			return
+		}
+		wantDir := Plus
+		if m[2] == "-" {
+			wantDir = Minus
+		}
+		wantInst := 0
+		if m[3] != "" {
+			wantInst, _ = strconv.Atoi(m[3])
+		}
+		if sig != m[1] || dir != wantDir || inst != wantInst {
+			t.Fatalf("ParseEdge(%q) = %q,%v,%d, want %q,%v,%d", s, sig, dir, inst, m[1], wantDir, wantInst)
+		}
+	}
+	const alphabet = "a_Z09.[]+-~/ <,"
+	var walk func(prefix string, depth int)
+	walk = func(prefix string, depth int) {
+		check(prefix)
+		if depth == 0 {
+			return
+		}
+		for i := 0; i < len(alphabet); i++ {
+			walk(prefix+alphabet[i:i+1], depth-1)
+		}
+	}
+	walk("", 4)
+	for _, s := range []string{"req_ack[3].x+/12", "a+/007", "a+/", "a+/1/2", "a/1+", "b-/99999999999999999999", "é+", "a+ ", "a++"} {
+		check(s)
 	}
 }
 

@@ -2,10 +2,15 @@ package stg
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"iter"
+	"maps"
 	"os"
+	"slices"
 	"strings"
+	"unicode"
 
 	"punt/internal/bitvec"
 	"punt/internal/petri"
@@ -28,46 +33,58 @@ import (
 //	.end
 //
 // If no .initial_state directive is present the initial binary state is left
-// unset; call (*STG).InferInitialState before building a state graph.
+// unset; unfolding.Build reads it off the STG's segment (and
+// unfolding.DeriveInitialState sets it without keeping the segment).
+//
+// Lines may be up to maxLineBytes long.  The line buffer starts small and
+// grows only for long lines, so parsing costs memory in proportion to the
+// input rather than to the cap.
 func Parse(r io.Reader) (*STG, error) {
-	p := &parser{
-		kinds:  map[string]SignalKind{},
-		trans:  map[string]petri.TransitionID{},
-		places: map[string]petri.PlaceID{},
-	}
+	p := &parser{g: New("stg")}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 0, initialLineBytes), maxLineBytes)
 	lineNo := 0
-	var pending []string // graph lines, processed after all declarations
+	// The graph lines, each ended by a newline, are processed after all
+	// declarations.
+	var graph strings.Builder
 	var markingLine string
 	inGraph := false
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = strings.TrimSpace(line[:i])
+		raw := bytes.TrimSpace(sc.Bytes())
+		if i := bytes.IndexByte(raw, '#'); i >= 0 {
+			raw = bytes.TrimSpace(raw[:i])
 		}
-		if line == "" {
+		if len(raw) == 0 {
 			continue
 		}
+		if raw[0] != '.' {
+			if !inGraph {
+				return nil, fmt.Errorf("stg: line %d: unexpected line %q outside .graph", lineNo, raw)
+			}
+			graph.Write(raw)
+			graph.WriteByte('\n')
+			continue
+		}
+		line := string(raw)
 		switch {
 		case strings.HasPrefix(line, ".model") || strings.HasPrefix(line, ".name"):
 			fields := strings.Fields(line)
 			if len(fields) > 1 {
-				p.name = fields[1]
+				p.g.SetName(fields[1])
 			}
 			inGraph = false
 		case strings.HasPrefix(line, ".inputs"):
-			p.declare(strings.Fields(line)[1:], Input)
+			p.declare(line, Input)
 			inGraph = false
 		case strings.HasPrefix(line, ".outputs"):
-			p.declare(strings.Fields(line)[1:], Output)
+			p.declare(line, Output)
 			inGraph = false
 		case strings.HasPrefix(line, ".internal"):
-			p.declare(strings.Fields(line)[1:], Internal)
+			p.declare(line, Internal)
 			inGraph = false
 		case strings.HasPrefix(line, ".dummy"):
-			p.declare(strings.Fields(line)[1:], Dummy)
+			p.declare(line, Dummy)
 			inGraph = false
 		case strings.HasPrefix(line, ".graph"):
 			inGraph = true
@@ -85,20 +102,24 @@ func Parse(r io.Reader) (*STG, error) {
 			inGraph = false
 		case strings.HasPrefix(line, ".end"):
 			inGraph = false
-		case strings.HasPrefix(line, "."):
-			return nil, fmt.Errorf("stg: line %d: unsupported directive %q", lineNo, strings.Fields(line)[0])
 		default:
-			if !inGraph {
-				return nil, fmt.Errorf("stg: line %d: unexpected line %q outside .graph", lineNo, line)
-			}
-			pending = append(pending, line)
+			return nil, fmt.Errorf("stg: line %d: unsupported directive %q", lineNo, strings.Fields(line)[0])
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		// The scanner stopped while reading the line after the last one
+		// it returned.
+		return nil, fmt.Errorf("stg: line %d: %w", lineNo+1, err)
 	}
-	return p.finish(pending, markingLine)
+	return p.finish(graph.String(), markingLine)
 }
+
+// The parser's line buffer starts at initialLineBytes and may grow to
+// maxLineBytes, the longest line Parse accepts.
+const (
+	initialLineBytes = 4 << 10
+	maxLineBytes     = 1 << 20
+)
 
 // ParseFile reads an STG from a .g file on disk.
 func ParseFile(path string) (*STG, error) {
@@ -120,9 +141,7 @@ func ParseString(text string) (*STG, error) {
 }
 
 type parser struct {
-	name         string
-	order        []string
-	kinds        map[string]SignalKind
+	dummies      map[string]bool // declared dummy names
 	initialState string
 
 	g      *STG
@@ -130,13 +149,41 @@ type parser struct {
 	places map[string]petri.PlaceID
 }
 
-func (p *parser) declare(names []string, kind SignalKind) {
-	for _, n := range names {
-		if _, dup := p.kinds[n]; dup {
+// declare adds the names a declaration line lists (after its directive) as
+// signals of the given kind, or as dummy names.  A name declared before keeps
+// its first kind.
+func (p *parser) declare(line string, kind SignalKind) {
+	if kind != Dummy {
+		n := -1 // the directive is the first field
+		for range strings.FieldsSeq(line) {
+			n++
+		}
+		p.g.signals = slices.Grow(p.g.signals, n)
+		if n > len(p.g.byName) {
+			// Rebuild the name index with room for the line's names.  It
+			// at least doubles each time, so the copies stay linear.
+			byName := make(map[string]int, len(p.g.byName)+n)
+			maps.Copy(byName, p.g.byName)
+			p.g.byName = byName
+		}
+	}
+	first := true
+	for n := range strings.FieldsSeq(line) {
+		if first {
+			first = false
 			continue
 		}
-		p.kinds[n] = kind
-		p.order = append(p.order, n)
+		if _, dup := p.g.byName[n]; dup || p.dummies[n] {
+			continue
+		}
+		if kind != Dummy {
+			p.g.AddSignal(n, kind)
+			continue
+		}
+		if p.dummies == nil {
+			p.dummies = map[string]bool{}
+		}
+		p.dummies[n] = true
 	}
 }
 
@@ -149,15 +196,17 @@ func (p *parser) node(ref string) (isPlace bool, t petri.TransitionID, pl petri.
 	if pl, ok := p.places[ref]; ok {
 		return true, 0, pl, nil
 	}
+	if pl, ok := p.g.net.PlaceByName(ref); ok {
+		return true, 0, pl, nil
+	}
 	if sig, dir, _, ok := ParseEdge(ref); ok {
-		if kind, declared := p.kinds[sig]; declared && kind != Dummy {
-			idx, _ := p.g.SignalIndex(sig)
+		if idx, declared := p.g.SignalIndex(sig); declared {
 			id := p.g.AddTransition(idx, dir)
 			p.trans[ref] = id
 			return false, id, 0, nil
 		}
 	}
-	if kind, declared := p.kinds[ref]; declared && kind == Dummy {
+	if p.dummies[ref] {
 		id := p.g.AddDummyTransition(ref)
 		p.trans[ref] = id
 		return false, id, 0, nil
@@ -168,56 +217,83 @@ func (p *parser) node(ref string) (isPlace bool, t petri.TransitionID, pl petri.
 	return true, 0, id, nil
 }
 
-func (p *parser) finish(graphLines []string, markingLine string) (*STG, error) {
-	if p.name == "" {
-		p.name = "stg"
+// splitGraphLine splits a trimmed .graph line into its first node and the
+// rest, whose fields are the arc targets.
+func splitGraphLine(line string) (head, rest string, err error) {
+	i := strings.IndexFunc(line, unicode.IsSpace)
+	if i < 0 {
+		return "", "", fmt.Errorf("stg: malformed graph line %q", line)
 	}
-	p.g = New(p.name)
-	for _, n := range p.order {
-		if p.kinds[n] != Dummy {
-			p.g.AddSignal(n, p.kinds[n])
+	return line[:i], line[i:], nil
+}
+
+// graphLines iterates over the newline-terminated lines of graph.
+func graphLines(graph string) iter.Seq[string] {
+	return func(yield func(string) bool) {
+		for line := range strings.Lines(graph) {
+			if !yield(line[:len(line)-1]) {
+				return
+			}
 		}
 	}
+}
+
+func (p *parser) finish(graph, markingLine string) (*STG, error) {
+	// Size the net before building it: every transition heads a line (its
+	// postset is not empty), and every implicit place is an arc.
+	lines, arcs := strings.Count(graph, "\n"), 0
+	for line := range graphLines(graph) {
+		_, rest, err := splitGraphLine(line)
+		if err != nil {
+			return nil, err
+		}
+		for range strings.FieldsSeq(rest) {
+			arcs++
+		}
+	}
+	p.g.net.Grow(arcs, lines)
+	p.g.labels = slices.Grow(p.g.labels, lines)
+	p.trans = make(map[string]petri.TransitionID, lines)
+	p.places = map[string]petri.PlaceID{}
 	// First pass: create the node at the head of every line, in line order,
 	// so that node identifiers (and the instance numbering of repeated signal
 	// edges) follow the order of appearance rather than the order of first
 	// reference.  WriteG emits one line per transition in identifier order,
 	// so this is also what makes write/parse round trips stable.
-	type arc struct{ src, dst string }
-	var arcs []arc
-	for _, line := range graphLines {
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("stg: malformed graph line %q", line)
-		}
-		if _, _, _, err := p.node(fields[0]); err != nil {
+	for line := range graphLines(graph) {
+		head, _, _ := splitGraphLine(line)
+		if _, _, _, err := p.node(head); err != nil {
 			return nil, err
-		}
-		for _, dst := range fields[1:] {
-			arcs = append(arcs, arc{src: fields[0], dst: dst})
 		}
 	}
-	for _, a := range arcs {
-		srcIsPlace, srcT, srcP, err := p.node(a.src)
+	// Second pass: the arcs, in line order.
+	for line := range graphLines(graph) {
+		src, rest, _ := splitGraphLine(line)
+		srcIsPlace, srcT, srcP, err := p.node(src)
 		if err != nil {
 			return nil, err
 		}
-		dstIsPlace, dstT, dstP, err := p.node(a.dst)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case srcIsPlace && dstIsPlace:
-			return nil, fmt.Errorf("stg: arc between two places %q -> %q", a.src, a.dst)
-		case srcIsPlace:
-			p.g.AddArcPT(srcP, dstT)
-		case dstIsPlace:
-			p.g.AddArcTP(srcT, dstP)
-		default:
-			// transition -> transition through an implicit place; remember it
-			// under the "<src,dst>" name used by .marking.
-			pl := p.g.AddArcTT(srcT, dstT)
-			p.places[fmt.Sprintf("<%s,%s>", a.src, a.dst)] = pl
+		for dst := range strings.FieldsSeq(rest) {
+			dstIsPlace, dstT, dstP, err := p.node(dst)
+			if err != nil {
+				return nil, err
+			}
+			switch {
+			case srcIsPlace && dstIsPlace:
+				return nil, fmt.Errorf("stg: arc between two places %q -> %q", src, dst)
+			case srcIsPlace:
+				p.g.AddArcPT(srcP, dstT)
+			case dstIsPlace:
+				p.g.AddArcTP(srcT, dstP)
+			default:
+				// transition -> transition through an implicit place, which
+				// .marking names "<src,dst>".  The net finds the place under
+				// its own name, so only another spelling needs an entry.
+				pl := p.g.AddArcTT(srcT, dstT)
+				if p.g.net.PlaceName(pl) != "<"+src+","+dst+">" {
+					p.places["<"+src+","+dst+">"] = pl
+				}
+			}
 		}
 	}
 	if markingLine != "" {
@@ -248,59 +324,59 @@ func (p *parser) parseMarking(line string) error {
 		return fmt.Errorf("stg: malformed .marking line %q", line)
 	}
 	body := line[open+1 : closeIdx]
-	// Tokens are either bare place names or implicit places "<a+,b->", possibly
-	// with a token count suffix "=2" which we reject (safe nets only).
-	var tokens []string
-	cur := strings.Builder{}
-	depth := 0
-	for _, ch := range body {
-		switch ch {
-		case '<':
-			depth++
-			cur.WriteRune(ch)
-		case '>':
-			depth--
-			cur.WriteRune(ch)
-		case ' ', '\t':
-			if depth > 0 {
-				cur.WriteRune(ch)
-			} else if cur.Len() > 0 {
-				tokens = append(tokens, cur.String())
-				cur.Reset()
-			}
-		default:
-			cur.WriteRune(ch)
-		}
-	}
-	if cur.Len() > 0 {
-		tokens = append(tokens, cur.String())
-	}
-	seen := map[string]bool{}
-	for _, tok := range tokens {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		if strings.Contains(tok, "=") {
-			return fmt.Errorf("stg: weighted marking %q not supported (safe nets only)", tok)
-		}
-		name := strings.ReplaceAll(tok, " ", "")
-		if seen[name] {
-			return fmt.Errorf("stg: place %q listed twice in .marking (safe nets only)", name)
-		}
-		seen[name] = true
-		pl, ok := p.places[name]
-		if !ok {
-			// Also try with the raw token (explicit place with unusual name).
-			if id, found := p.g.Net().PlaceByName(name); found {
-				pl = id
-				ok = true
+	// Tokens are either bare place names or implicit places "<a+,b->",
+	// which may contain blanks, possibly with a token count suffix "=2"
+	// which we reject (safe nets only).  A blank outside <...> ends a token.
+	marked := make([]bool, p.g.net.NumPlaces())
+	depth, start := 0, -1
+	for i := 0; i <= len(body); i++ {
+		sep := i == len(body)
+		if !sep {
+			switch body[i] {
+			case '<':
+				depth++
+			case '>':
+				depth--
+			case ' ', '\t':
+				sep = depth <= 0
 			}
 		}
-		if !ok {
-			return fmt.Errorf("stg: .marking refers to unknown place %q", tok)
+		switch {
+		case !sep && start < 0:
+			start = i
+		case sep && start >= 0:
+			if err := p.markToken(body[start:i], marked); err != nil {
+				return err
+			}
+			start = -1
 		}
-		p.g.MarkInitially(pl)
 	}
+	return nil
+}
+
+// markToken puts the initial token on the place a .marking entry names;
+// marked[pl] records the places marked so far.
+func (p *parser) markToken(tok string, marked []bool) error {
+	tok = strings.TrimSpace(tok)
+	if tok == "" {
+		return nil
+	}
+	if strings.Contains(tok, "=") {
+		return fmt.Errorf("stg: weighted marking %q not supported (safe nets only)", tok)
+	}
+	name := strings.ReplaceAll(tok, " ", "")
+	pl, ok := p.places[name]
+	if !ok {
+		// Also try with the raw token (explicit place with unusual name).
+		pl, ok = p.g.Net().PlaceByName(name)
+	}
+	if !ok {
+		return fmt.Errorf("stg: .marking refers to unknown place %q", tok)
+	}
+	if marked[pl] {
+		return fmt.Errorf("stg: place %q listed twice in .marking (safe nets only)", name)
+	}
+	marked[pl] = true
+	p.g.MarkInitially(pl)
 	return nil
 }

@@ -1,6 +1,8 @@
 package stg
 
 import (
+	"bufio"
+	"errors"
 	"strings"
 	"testing"
 
@@ -192,5 +194,32 @@ func TestParseCommentsAndBlankLines(t *testing.T) {
 	src := "# leading comment\n\n" + handshakeG + "\n# trailing comment\n"
 	if _, err := ParseString(src); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParseLongLine checks that a line far longer than the parser's initial
+// buffer still parses: here a 200 KiB .marking line.
+func TestParseLongLine(t *testing.T) {
+	pad := strings.Repeat(" ", 200<<10)
+	src := strings.Replace(handshakeG, ".marking { <ack-,req+> }", ".marking {"+pad+"<ack-,req+>"+pad+"}", 1)
+	g, err := ParseString(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Net().Initial().Total() != 1 {
+		t.Fatalf("initial tokens = %d, want 1", g.Net().Initial().Total())
+	}
+}
+
+// TestParseLineTooLong checks that a line over the 1 MiB cap fails with its
+// line number.
+func TestParseLineTooLong(t *testing.T) {
+	src := ".model x\n.outputs a\n# " + strings.Repeat("x", maxLineBytes) + "\n.graph\na+ a-\na- a+\n.end\n"
+	_, err := ParseString(src)
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("err = %v, want bufio.ErrTooLong", err)
+	}
+	if !strings.HasPrefix(err.Error(), "stg: line 3: ") {
+		t.Fatalf("err = %q, want it to name line 3", err)
 	}
 }

@@ -1,8 +1,9 @@
 // Package stg implements Signal Transition Graphs: labelled Petri nets whose
 // transitions denote rising (+) and falling (-) edges of circuit signals.
-// It provides the STG data model, a programmatic builder, a reader and writer
-// for the astg ".g" text format used by SIS/Petrify-style tools, and
-// inference of the initial binary state.
+// It provides the STG data model, a programmatic builder, and a reader and
+// writer for the astg ".g" text format used by SIS/Petrify-style tools.  An
+// STG whose initial binary state is not given gets it from its unfolding
+// segment (package unfolding).
 package stg
 
 import (
@@ -259,7 +260,7 @@ func (g *STG) AddArcTP(t petri.TransitionID, p petri.PlaceID) { g.net.AddArcTP(t
 // AddArcTT connects two transitions through a fresh implicit place and returns
 // that place.
 func (g *STG) AddArcTT(src, dst petri.TransitionID) petri.PlaceID {
-	name := fmt.Sprintf("<%s,%s>", g.TransitionString(src), g.TransitionString(dst))
+	name := "<" + g.net.TransitionName(src) + "," + g.net.TransitionName(dst) + ">"
 	// Implicit place names may repeat if the same pair is connected twice; make
 	// them unique.
 	if _, exists := g.net.PlaceByName(name); exists {
@@ -290,15 +291,15 @@ func (g *STG) SetInitialState(v bitvec.Vec) {
 	g.initialStateSet = true
 }
 
-// HasInitialState reports whether the initial binary state has been set
-// explicitly or inferred.
+// HasInitialState reports whether the initial binary state has been set,
+// explicitly or from the unfolding segment.
 func (g *STG) HasInitialState() bool { return g.initialStateSet }
 
 // InitialState returns a copy of the initial binary code.  It panics if the
-// state was neither set nor inferred; call InferInitialState first.
+// state is not set; unfolding.DeriveInitialState sets it from the segment.
 func (g *STG) InitialState() bitvec.Vec {
 	if !g.initialStateSet {
-		panic("stg: initial state not set; call SetInitialState or InferInitialState")
+		panic("stg: initial state not set; call SetInitialState or unfolding.DeriveInitialState")
 	}
 	return g.initialState.Clone()
 }

@@ -143,41 +143,6 @@ func TestPaperFig1Structure(t *testing.T) {
 	}
 }
 
-func TestInferInitialState(t *testing.T) {
-	g := paperFig1(t)
-	h := paperFig1(t)
-	h.initialStateSet = false
-	if err := h.InferInitialState(0); err != nil {
-		t.Fatal(err)
-	}
-	if !h.InitialState().Equal(g.InitialState()) {
-		t.Fatalf("inferred %s, want %s", h.InitialState(), g.InitialState())
-	}
-}
-
-func TestInferInitialStateStartsHigh(t *testing.T) {
-	// A signal whose first edge is falling must be inferred as initially 1.
-	b := NewBuilder("high")
-	b.Outputs("x", "y")
-	b.Arc("x-", "y+").Arc("y+", "x+").Arc("x+", "y-").Arc("y-", "x-").MarkBetween("y-", "x-")
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.InferInitialState(0); err != nil {
-		t.Fatal(err)
-	}
-	st := g.InitialState()
-	xi, _ := g.SignalIndex("x")
-	yi, _ := g.SignalIndex("y")
-	if !st.Get(xi) {
-		t.Fatal("x starts high (its first edge is x-)")
-	}
-	if st.Get(yi) {
-		t.Fatal("y starts low (its first edge is y+)")
-	}
-}
-
 func TestValidateRejectsDanglingTransition(t *testing.T) {
 	g := New("bad")
 	a := g.AddSignal("a", Output)

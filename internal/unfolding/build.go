@@ -165,6 +165,18 @@ type builder struct {
 	cutSets      []*idSet
 	consumedSets []*idSet
 
+	// init is the initial code as far as it is known.  When the STG carries
+	// its initial state, init is that state and every code is absolute.
+	// Otherwise (relative) codes are built relative to the unknown initial
+	// code, so the root's code is all zero; the first instance of signal a
+	// the builder meets fixes init[a] and sets known[a], and Build makes the
+	// codes absolute when it returns.  XOR with a constant changes neither
+	// cut-off equality nor the (size, seq) extension order, so the segment
+	// is the one the absolute build would produce.
+	init     bitvec.Vec
+	known    bitvec.Vec
+	relative bool
+
 	// Scratch storage reused across instantiate/chooseCoset calls.
 	common idSet         // intersection of the preset co-sets
 	diff   idSet         // parentLocal \ dominant.Local in parentCodeOf
@@ -174,12 +186,13 @@ type builder struct {
 // Build constructs the STG-unfolding segment of the STG.  The construction
 // checks ctx periodically and aborts with the context's error when it is
 // cancelled.
+//
+// An STG without an initial binary state is accepted: the state is read off
+// the segment, where signal a starts at 1 exactly when the instances of a
+// whose local configuration holds no other a-instance are falling edges.  A
+// successful Build sets it on g; two such instances of opposite direction are
+// an InconsistencyError.
 func Build(ctx context.Context, g *stg.STG, opts Options) (*Unfolding, error) {
-	if !g.HasInitialState() {
-		if err := g.InferInitialState(0); err != nil {
-			return nil, err
-		}
-	}
 	if opts.MaxEvents <= 0 {
 		opts.MaxEvents = 1000000
 	}
@@ -192,6 +205,13 @@ func Build(ctx context.Context, g *stg.STG, opts Options) (*Unfolding, error) {
 		placeConds: map[petri.PlaceID]*idSet{},
 	}
 	b.u = &Unfolding{STG: g, bySignal: make([][]*Event, g.NumSignals())}
+	if g.HasInitialState() {
+		b.init = g.InitialState()
+	} else {
+		b.init = bitvec.New(g.NumSignals())
+		b.known = bitvec.New(g.NumSignals())
+		b.relative = true
+	}
 
 	if err := b.createRoot(); err != nil {
 		return nil, err
@@ -218,7 +238,24 @@ func Build(ctx context.Context, g *stg.STG, opts Options) (*Unfolding, error) {
 			return nil, &EventLimitError{Events: b.u.NumEvents(), Limit: b.opts.MaxEvents}
 		}
 	}
+	if b.relative {
+		for _, e := range b.u.Events {
+			e.Code.Xor(b.init)
+		}
+		g.SetInitialState(b.init)
+	}
 	return b.u, nil
+}
+
+// DeriveInitialState sets the initial binary state of an STG that carries
+// none to the one its segment implies (see Build).  It is a no-op when the
+// state is already set.
+func DeriveInitialState(ctx context.Context, g *stg.STG) error {
+	if g.HasInitialState() {
+		return nil
+	}
+	_, err := Build(ctx, g, Options{})
+	return err
 }
 
 func (b *builder) createRoot() error {
@@ -227,7 +264,7 @@ func (b *builder) createRoot() error {
 		IsRoot:  true,
 		Local:   newIDSet(),
 		Size:    0,
-		Code:    b.g.InitialState(),
+		Code:    b.init.Clone(),
 		Marking: b.net.Initial(),
 	}
 	b.u.Root = root
@@ -312,17 +349,17 @@ func (b *builder) lookupState(h uint64, m petri.Marking, code bitvec.Vec) *Event
 }
 
 // codeOfConfig computes the binary code reached by firing the given event set
-// from the initial state.  It is the original full-replay implementation,
+// from the root's code.  It is the original full-replay implementation,
 // retained as the cross-validation oracle for the incremental engine
 // (Options.DebugCheck).
 func (b *builder) codeOfConfig(set *idSet) bitvec.Vec {
-	code := b.g.InitialState()
+	code := b.u.Root.Code.Clone()
 	set.forEach(func(id int) {
 		e := b.u.Events[id]
 		if e.IsRoot || e.label.IsDummy {
 			return
 		}
-		code.Set(e.label.Signal, e.label.Dir == stg.Plus)
+		code.Flip(e.label.Signal)
 	})
 	return code
 }
@@ -385,7 +422,7 @@ func (b *builder) parentCodeOf(pe *possibleExtension) bitvec.Vec {
 		if ev.label.IsDummy {
 			return
 		}
-		code.Set(ev.label.Signal, ev.label.Dir == stg.Plus)
+		code.Flip(ev.label.Signal)
 	})
 	return code
 }
@@ -444,6 +481,15 @@ func (b *builder) newEventFor(pe *possibleExtension) (*Event, error) {
 	}
 	if !label.IsDummy {
 		val := parentCode.Get(label.Signal)
+		if b.relative {
+			if !b.known.Get(label.Signal) {
+				// The first instance met fixes the initial value: a+ needs
+				// a at 0 before it, a- needs it at 1.
+				b.known.Set(label.Signal, true)
+				b.init.Set(label.Signal, val != (label.Dir == stg.Minus))
+			}
+			val = val != b.init.Get(label.Signal)
+		}
 		if label.Dir == stg.Plus && val {
 			return nil, &InconsistencyError{
 				Transition: b.g.TransitionString(pe.transition),
@@ -471,7 +517,7 @@ func (b *builder) newEventFor(pe *possibleExtension) (*Event, error) {
 	e.Size = pe.size
 	code := parentCode
 	if !label.IsDummy {
-		code.Set(label.Signal, label.Dir == stg.Plus)
+		code.Flip(label.Signal)
 	}
 	e.Code = code
 	b.u.Events = append(b.u.Events, e)

@@ -43,6 +43,7 @@ import (
 
 	"punt/internal/gatelib"
 	"punt/internal/stg"
+	"punt/internal/unfolding"
 )
 
 // DefaultMaxStates is the per-cluster composed-state budget used when
@@ -164,7 +165,7 @@ func Verify(ctx context.Context, g *stg.STG, im *gatelib.Implementation, opts Op
 		ctx = context.Background()
 	}
 	if !g.HasInitialState() {
-		if err := g.InferInitialState(opts.MaxStates); err != nil {
+		if err := unfolding.DeriveInitialState(ctx, g); err != nil {
 			return nil, err
 		}
 	}

@@ -104,9 +104,14 @@ func EncodeResult(res *Result) ([]byte, error) {
 }
 
 // DecodeResult parses and validates a document written by EncodeResult.
+// Every rejection matches ErrFormat; one whose embedded specification fails
+// to load also carries that load's Diagnostic.
 func DecodeResult(data []byte) (*Result, error) {
 	res := new(Result)
 	if err := json.Unmarshal(data, res); err != nil {
+		if !errors.Is(err, ErrFormat) {
+			err = fmt.Errorf("%w: %w", ErrFormat, err)
+		}
 		return nil, err
 	}
 	return res, nil

@@ -31,6 +31,7 @@ import (
 	"net/http"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,7 +57,8 @@ type Config struct {
 	// MaxRequestBytes bounds the request body (0 = 1 MiB).
 	MaxRequestBytes int64
 	// MaxSynthTime is the hard per-synthesis wall-clock ceiling, applied on
-	// top of any client-requested deadline (0 = 2 minutes).
+	// top of any client-requested deadline (0 = 2 minutes).  It also caps
+	// loading a spec without .initial_state, which builds a segment.
 	MaxSynthTime time.Duration
 	// WrapContext, when non-nil, wraps every request context before use —
 	// the hook the chaos tests use to attach a fault-injection schedule.
@@ -217,9 +219,9 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	spec, err := punt.Parse(req.Spec)
+	spec, err := s.load(ctx, req.Spec)
 	if err != nil {
-		writeError(w, &parseError{err})
+		writeError(w, err)
 		return
 	}
 
@@ -304,6 +306,23 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		// Client gone: nothing to write.  The deferred leave withdraws our
 		// interest; the synthesis continues only while other waiters remain.
 	}
+}
+
+// load parses the request's specification under the request context, capped
+// by MaxSynthTime: a spec without .initial_state builds its unfolding segment
+// while loading, which is engine work before admission control.  A parse
+// failure is the request's fault (400); a segment that cannot be built fails
+// the way its synthesis would (not safe, inconsistent, limit, or canceled
+// like a cancelled synthesis).
+func (s *Server) load(ctx context.Context, text string) (*punt.Spec, error) {
+	lctx, cancel := context.WithTimeout(ctx, s.cfg.MaxSynthTime)
+	defer cancel()
+	spec, err := punt.LoadContext(lctx, strings.NewReader(text))
+	var d *punt.Diagnostic
+	if errors.As(err, &d) && d.Kind == punt.KindParse {
+		return nil, &parseError{err}
+	}
+	return spec, err
 }
 
 // durRingSize is how many recent synthesis durations feed the Retry-After

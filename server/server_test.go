@@ -824,3 +824,55 @@ func TestRetryAfterHeaderMatchesBody(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLoadHonoursRequestContext checks that loading a spec without
+// .initial_state, which builds its unfolding segment, runs under the request
+// context capped by MaxSynthTime: a cancelled request aborts the load, and a
+// load that outlives the ceiling fails with the status, exit code and kind of
+// a synthesis that outlives it.
+func TestLoadHonoursRequestContext(t *testing.T) {
+	defer faultinject.LeakCheck(t)()
+	withState := punt.MullerPipelineWithSignals(12).Text()
+	var stripped strings.Builder
+	for _, line := range strings.SplitAfter(withState, "\n") {
+		if !strings.HasPrefix(line, ".initial_state") {
+			stripped.WriteString(line)
+		}
+	}
+	errorOf := func(t *testing.T, cfg Config, spec string) (int, ErrorBody) {
+		t.Helper()
+		srv := New(cfg)
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		resp, data := post(t, ts.Client(), ts.URL, Request{Spec: spec})
+		var body ErrorBody
+		if err := json.Unmarshal(data, &body); err != nil {
+			t.Fatalf("error body is not JSON: %v\n%s", err, data)
+		}
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+
+	cancelled := Config{WrapContext: func(ctx context.Context) context.Context {
+		ctx, cancel := context.WithCancel(ctx)
+		cancel()
+		return ctx
+	}}
+	status, body := errorOf(t, cancelled, stripped.String())
+	if status != http.StatusServiceUnavailable || body.ExitCode != 4 || body.Kind != punt.KindCanceled.String() {
+		t.Fatalf("cancelled load: status %d, exit %d, kind %q (%s)", status, body.ExitCode, body.Kind, body.Error)
+	}
+
+	ceiling := Config{MaxSynthTime: time.Nanosecond}
+	loadStatus, loadBody := errorOf(t, ceiling, stripped.String())
+	synthStatus, synthBody := errorOf(t, ceiling, withState)
+	if loadStatus != synthStatus || loadBody.ExitCode != synthBody.ExitCode || loadBody.Kind != synthBody.Kind {
+		t.Fatalf("load past the ceiling: %d/%d/%q; synthesis past it: %d/%d/%q",
+			loadStatus, loadBody.ExitCode, loadBody.Kind, synthStatus, synthBody.ExitCode, synthBody.Kind)
+	}
+	if loadStatus != http.StatusServiceUnavailable || loadBody.ExitCode != 4 || loadBody.Kind != punt.KindCanceled.String() {
+		t.Fatalf("load past the ceiling: status %d, exit %d, kind %q (%s)", loadStatus, loadBody.ExitCode, loadBody.Kind, loadBody.Error)
+	}
+}

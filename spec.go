@@ -1,21 +1,28 @@
 package punt
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"os"
+	"strings"
 	"sync"
 
 	"punt/internal/stg"
+	"punt/internal/unfolding"
 )
 
 // Spec is a parsed and validated Signal Transition Graph specification, the
 // input of every synthesis and analysis entry point of the package.
 //
-// A Spec is immutable after loading: its initial binary state is inferred
-// eagerly (when the source carried no .initial_state directive), so the same
-// Spec value may be synthesised concurrently — Batch relies on this.
+// A Spec is immutable after loading.  When the source carried no
+// .initial_state directive, loading reads the initial binary state off the
+// specification's unfolding segment (one segment build, linear in the segment
+// rather than in the state graph), so the same Spec value may be synthesised
+// concurrently — Batch relies on this.  The segment is not kept: synthesis of
+// such a Spec builds it again.
 type Spec struct {
 	g *stg.STG
 
@@ -23,26 +30,45 @@ type Spec struct {
 	hash     string
 }
 
-// wrapSpec finalises a freshly built STG into a public Spec: the initial
-// binary state is inferred now if it was not given, so that later synthesis
-// runs — possibly several at once on the same Spec — never mutate the STG.
-func wrapSpec(g *stg.STG) (*Spec, error) {
-	if !g.HasInitialState() {
-		if err := g.InferInitialState(0); err != nil {
-			return nil, &Diagnostic{Op: "load", Spec: g.Name(), Kind: KindParse, Err: err}
-		}
+// wrapSpec finalises a freshly built STG into a public Spec.  An STG without
+// an initial binary state gets the one its segment implies now, so that later
+// synthesis runs never mutate the STG; a segment that cannot be built fails
+// the load with the Diagnostic synthesis would report (not safe,
+// inconsistent, limit or canceled).
+func wrapSpec(ctx context.Context, g *stg.STG) (*Spec, error) {
+	if err := unfolding.DeriveInitialState(ctx, g); err != nil {
+		return nil, diagnose("load", g.Name(), err)
 	}
 	return &Spec{g: g}, nil
+}
+
+// LoadContext reads a specification in the astg ".g" interchange format from
+// r under ctx: a spec without the .initial_state directive builds its
+// unfolding segment while loading, and cancelling ctx aborts that build with
+// a KindCanceled Diagnostic.  Load, LoadFile and Parse are LoadContext with
+// context.Background().
+func LoadContext(ctx context.Context, r io.Reader) (*Spec, error) {
+	return load(ctx, r, "")
+}
+
+// load parses r and finalises the STG; a non-empty path names the source in
+// parse errors.
+func load(ctx context.Context, r io.Reader, path string) (*Spec, error) {
+	g, err := stg.Parse(r)
+	if err != nil {
+		if path != "" {
+			err = fmt.Errorf("%s: %w", path, err)
+		}
+		return nil, &Diagnostic{Op: "parse", Spec: path, Kind: KindParse, Err: err}
+	}
+	return wrapSpec(ctx, g)
 }
 
 // Load reads a specification in the astg ".g" interchange format (the format
 // of SIS and Petrify) from r.
 func Load(r io.Reader) (*Spec, error) {
-	g, err := stg.Parse(r)
-	if err != nil {
-		return nil, &Diagnostic{Op: "parse", Kind: KindParse, Err: err}
-	}
-	return wrapSpec(g)
+	//puntlint:ignore ctxdiscipline Load is the context-free loader; context-aware callers use LoadContext
+	return LoadContext(context.Background(), r)
 }
 
 // LoadFile reads a ".g" specification from a file; the path "-" reads
@@ -58,20 +84,19 @@ func LoadFileFrom(path string, stdin io.Reader) (*Spec, error) {
 	if path == "-" {
 		return Load(stdin)
 	}
-	g, err := stg.ParseFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, &Diagnostic{Op: "parse", Spec: path, Kind: KindParse, Err: err}
 	}
-	return wrapSpec(g)
+	defer f.Close()
+	//puntlint:ignore ctxdiscipline LoadFileFrom is the context-free loader; context-aware callers use LoadContext
+	return load(context.Background(), f, path)
 }
 
 // Parse reads a ".g" specification from a string.
 func Parse(text string) (*Spec, error) {
-	g, err := stg.ParseString(text)
-	if err != nil {
-		return nil, &Diagnostic{Op: "parse", Kind: KindParse, Err: err}
-	}
-	return wrapSpec(g)
+	//puntlint:ignore ctxdiscipline Parse is the context-free loader; context-aware callers use LoadContext
+	return LoadContext(context.Background(), strings.NewReader(text))
 }
 
 // Name returns the specification's model name.

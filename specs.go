@@ -1,6 +1,8 @@
 package punt
 
 import (
+	"context"
+
 	"punt/internal/benchgen"
 	"punt/internal/stg"
 )
@@ -52,7 +54,8 @@ func Table1() []BatchItem {
 // mustWrap finalises a generated STG; the builtin generators always carry an
 // explicit initial state, so wrapping cannot fail.
 func mustWrap(g *stg.STG) *Spec {
-	s, err := wrapSpec(g)
+	//puntlint:ignore ctxdiscipline the generators set the initial state, so wrapping builds no segment to cancel
+	s, err := wrapSpec(context.Background(), g)
 	if err != nil {
 		panic(err)
 	}

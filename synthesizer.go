@@ -768,7 +768,7 @@ func (s *Synthesizer) resolveAndRetry(ctx context.Context, single Backend, conte
 	if err != nil {
 		return nil, diagnose("resolve", spec.Name(), err)
 	}
-	resolved, err := wrapSpec(rg)
+	resolved, err := wrapSpec(ctx, rg)
 	if err != nil {
 		return nil, err
 	}
