@@ -1,6 +1,7 @@
 package punt_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -24,6 +25,11 @@ func FuzzDecodeResult(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(doc)
+	stripped := bytes.Replace(doc, []byte(`.initial_state 000\n`), nil, 1)
+	if bytes.Equal(stripped, doc) {
+		f.Fatal("the seed document carries no .initial_state line to strip")
+	}
+	f.Add(stripped)
 	f.Add(doc[:len(doc)/2])
 	f.Add([]byte(`{"format":1,"spec":".model m\n.outputs a\n.graph\na+ a-\na- a+\n.marking { <a-,a+> }\n.end\n","impl":{}}`))
 	f.Add([]byte(`{"format":99}`))

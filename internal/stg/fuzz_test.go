@@ -42,6 +42,10 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return // rejected inputs are fine; only panics and mis-parses are bugs
 		}
+		if DeclaresInitialState(src) != g.HasInitialState() {
+			t.Fatalf("DeclaresInitialState = %v, but the parsed STG has initial state %v\n%s",
+				DeclaresInitialState(src), g.HasInitialState(), src)
+		}
 		text1 := Format(g)
 		g2, err := ParseString(text1)
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"iter"
-	"maps"
 	"os"
 	"slices"
 	"strings"
@@ -121,6 +120,30 @@ const (
 	maxLineBytes     = 1 << 20
 )
 
+// DeclaresInitialState reports whether text carries an .initial_state
+// directive with a value, by the line rule Parse applies.  When it does and
+// text parses, the STG's initial state is set, so loading it builds no
+// unfolding segment.  The scan allocates nothing.
+func DeclaresInitialState(text string) bool {
+	for line := range strings.Lines(text) {
+		if i := strings.IndexByte(line, '#'); i >= 0 {
+			line = line[:i]
+		}
+		line = strings.TrimSpace(line)
+		if !strings.HasPrefix(line, ".initial_state") {
+			continue
+		}
+		fields := 0
+		for range strings.FieldsSeq(line) {
+			fields++
+		}
+		if fields > 1 {
+			return true
+		}
+	}
+	return false
+}
+
 // ParseFile reads an STG from a .g file on disk.
 func ParseFile(path string) (*STG, error) {
 	f, err := os.Open(path)
@@ -154,18 +177,12 @@ type parser struct {
 // its first kind.
 func (p *parser) declare(line string, kind SignalKind) {
 	if kind != Dummy {
-		n := -1 // the directive is the first field
+		// Room for the line's names; the directive is the first field.
+		n := -1
 		for range strings.FieldsSeq(line) {
 			n++
 		}
 		p.g.signals = slices.Grow(p.g.signals, n)
-		if n > len(p.g.byName) {
-			// Rebuild the name index with room for the line's names.  It
-			// at least doubles each time, so the copies stay linear.
-			byName := make(map[string]int, len(p.g.byName)+n)
-			maps.Copy(byName, p.g.byName)
-			p.g.byName = byName
-		}
 	}
 	first := true
 	for n := range strings.FieldsSeq(line) {

@@ -223,3 +223,27 @@ func TestParseLineTooLong(t *testing.T) {
 		t.Fatalf("err = %q, want it to name line 3", err)
 	}
 }
+
+// TestDeclaresInitialState checks the directive scan against what Parse makes
+// of the same text, including a commented-out directive and one without bits.
+func TestDeclaresInitialState(t *testing.T) {
+	body := ".model hs\n.inputs req\n.outputs ack\n.graph\nreq+ ack+\nack+ req-\nreq- ack-\nack- req+\n.marking { <ack-,req+> }\n"
+	for _, tail := range []string{
+		".initial_state 00\n.end\n",
+		"  .initial_state 10   # started high\r\n.end\n",
+		".initial_state 01",
+		"# .initial_state 00\n.end\n",
+		".initial_state\n.end\n",
+		".initial_state # 00\n.end\n",
+		".end\n",
+	} {
+		text := body + tail
+		g, err := ParseString(text)
+		if err != nil {
+			t.Fatalf("%q: %v", tail, err)
+		}
+		if got := DeclaresInitialState(text); got != g.HasInitialState() {
+			t.Errorf("%q: DeclaresInitialState = %v, parsed initial state %v", tail, got, g.HasInitialState())
+		}
+	}
+}

@@ -165,17 +165,16 @@ type builder struct {
 	cutSets      []*idSet
 	consumedSets []*idSet
 
-	// init is the initial code as far as it is known.  When the STG carries
-	// its initial state, init is that state and every code is absolute.
-	// Otherwise (relative) codes are built relative to the unknown initial
-	// code, so the root's code is all zero; the first instance of signal a
-	// the builder meets fixes init[a] and sets known[a], and Build makes the
-	// codes absolute when it returns.  XOR with a constant changes neither
-	// cut-off equality nor the (size, seq) extension order, so the segment
-	// is the one the absolute build would produce.
-	init     bitvec.Vec
-	known    bitvec.Vec
-	relative bool
+	// Codes are built relative to the initial code, so the root's code is
+	// all zero.  init is the initial code as far as it is known: known[a]
+	// is set for every signal when the STG carries its initial state;
+	// otherwise the first instance of signal a the builder meets fixes
+	// init[a] and sets known[a].  Build makes the codes absolute when it
+	// returns.  XOR with a constant changes neither cut-off equality nor the
+	// (size, seq) extension order, so the segment does not depend on when
+	// init becomes known.
+	init  bitvec.Vec
+	known bitvec.Vec
 
 	// Scratch storage reused across instantiate/chooseCoset calls.
 	common idSet         // intersection of the preset co-sets
@@ -205,12 +204,15 @@ func Build(ctx context.Context, g *stg.STG, opts Options) (*Unfolding, error) {
 		placeConds: map[petri.PlaceID]*idSet{},
 	}
 	b.u = &Unfolding{STG: g, bySignal: make([][]*Event, g.NumSignals())}
-	if g.HasInitialState() {
-		b.init = g.InitialState()
-	} else {
+	derive := !g.HasInitialState()
+	b.known = bitvec.New(g.NumSignals())
+	if derive {
 		b.init = bitvec.New(g.NumSignals())
-		b.known = bitvec.New(g.NumSignals())
-		b.relative = true
+	} else {
+		b.init = g.InitialState()
+		for a := range g.NumSignals() {
+			b.known.Set(a, true)
+		}
 	}
 
 	if err := b.createRoot(); err != nil {
@@ -238,10 +240,10 @@ func Build(ctx context.Context, g *stg.STG, opts Options) (*Unfolding, error) {
 			return nil, &EventLimitError{Events: b.u.NumEvents(), Limit: b.opts.MaxEvents}
 		}
 	}
-	if b.relative {
-		for _, e := range b.u.Events {
-			e.Code.Xor(b.init)
-		}
+	for _, e := range b.u.Events {
+		e.Code.Xor(b.init)
+	}
+	if derive {
 		g.SetInitialState(b.init)
 	}
 	return b.u, nil
@@ -264,7 +266,7 @@ func (b *builder) createRoot() error {
 		IsRoot:  true,
 		Local:   newIDSet(),
 		Size:    0,
-		Code:    b.init.Clone(),
+		Code:    bitvec.New(b.g.NumSignals()),
 		Marking: b.net.Initial(),
 	}
 	b.u.Root = root
@@ -481,15 +483,13 @@ func (b *builder) newEventFor(pe *possibleExtension) (*Event, error) {
 	}
 	if !label.IsDummy {
 		val := parentCode.Get(label.Signal)
-		if b.relative {
-			if !b.known.Get(label.Signal) {
-				// The first instance met fixes the initial value: a+ needs
-				// a at 0 before it, a- needs it at 1.
-				b.known.Set(label.Signal, true)
-				b.init.Set(label.Signal, val != (label.Dir == stg.Minus))
-			}
-			val = val != b.init.Get(label.Signal)
+		if !b.known.Get(label.Signal) {
+			// The first instance met fixes the initial value: a+ needs a
+			// at 0 before it, a- needs it at 1.
+			b.known.Set(label.Signal, true)
+			b.init.Set(label.Signal, val != (label.Dir == stg.Minus))
 		}
+		val = val != b.init.Get(label.Signal)
 		if label.Dir == stg.Plus && val {
 			return nil, &InconsistencyError{
 				Transition: b.g.TransitionString(pe.transition),

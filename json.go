@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"punt/gates"
+	"punt/internal/stg"
 )
 
 // The exported JSON round-trip of Result, Stats and Diagnostic.  One
@@ -71,6 +72,12 @@ func (r *Result) UnmarshalJSON(data []byte) error {
 	}
 	if w.Format != ResultFormatVersion {
 		return fmt.Errorf("%w: result format %d, this reader speaks %d", ErrFormat, w.Format, ResultFormatVersion)
+	}
+	// EncodeResult always writes the initial state.  A document without it
+	// is rejected rather than loaded, because loading would build the
+	// specification's unfolding segment: decoding does no engine work.
+	if !stg.DeclaresInitialState(w.Spec) {
+		return fmt.Errorf("%w: result specification carries no .initial_state", ErrFormat)
 	}
 	spec, err := Parse(w.Spec)
 	if err != nil {

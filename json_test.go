@@ -186,6 +186,22 @@ func TestResultJSONRejectsCorruption(t *testing.T) {
 			t.Fatalf("hash-tampered document decoded: %v", err)
 		}
 	})
+	t.Run("no initial state", func(t *testing.T) {
+		// Loading a spec without .initial_state builds its segment; a
+		// result document always carries the state, so decoding refuses
+		// one without it instead of doing that work.
+		var w resultWire
+		if err := json.Unmarshal(blob, &w); err != nil {
+			t.Fatal(err)
+		}
+		i := strings.Index(w.Spec, ".initial_state")
+		j := i + strings.IndexByte(w.Spec[i:], '\n') + 1
+		w.Spec, w.SpecHash = w.Spec[:i]+w.Spec[j:], ""
+		bad, _ := json.Marshal(w)
+		if _, err := DecodeResult(bad); !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), ".initial_state") {
+			t.Fatalf("document without an initial state: %v", err)
+		}
+	})
 	t.Run("no implementation", func(t *testing.T) {
 		var raw map[string]json.RawMessage
 		if err := json.Unmarshal(blob, &raw); err != nil {

@@ -38,6 +38,7 @@ import (
 
 	"punt"
 	"punt/internal/faultinject"
+	"punt/internal/stg"
 )
 
 // Config parameterises a Server.  The zero value is usable: an in-memory
@@ -309,12 +310,27 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 }
 
 // load parses the request's specification under the request context, capped
-// by MaxSynthTime: a spec without .initial_state builds its unfolding segment
-// while loading, which is engine work before admission control.  A parse
+// by MaxSynthTime.  A spec without .initial_state builds its unfolding
+// segment while loading: that is engine work, so it waits for a synthesis
+// slot like a synthesis does, and MaxConcurrent bounds it.  A spec with the
+// directive loads before admission, so warm hits stay cheap.  A parse
 // failure is the request's fault (400); a segment that cannot be built fails
 // the way its synthesis would (not safe, inconsistent, limit, or canceled
 // like a cancelled synthesis).
 func (s *Server) load(ctx context.Context, text string) (*punt.Spec, error) {
+	if stg.DeclaresInitialState(text) {
+		return s.loadNow(ctx, text)
+	}
+	var spec *punt.Spec
+	_, err := s.runAdmitted(ctx, func(ctx context.Context) (*punt.Result, error) {
+		var err error
+		spec, err = s.loadNow(ctx, text)
+		return nil, err
+	})
+	return spec, err
+}
+
+func (s *Server) loadNow(ctx context.Context, text string) (*punt.Spec, error) {
 	lctx, cancel := context.WithTimeout(ctx, s.cfg.MaxSynthTime)
 	defer cancel()
 	spec, err := punt.LoadContext(lctx, strings.NewReader(text))

@@ -876,3 +876,57 @@ func TestLoadHonoursRequestContext(t *testing.T) {
 		t.Fatalf("load past the ceiling: status %d, exit %d, kind %q (%s)", loadStatus, loadBody.ExitCode, loadBody.Kind, loadBody.Error)
 	}
 }
+
+// TestDirectiveLessLoadIsAdmitted checks that loading a spec without
+// .initial_state, which builds its unfolding segment, takes a synthesis slot:
+// with the only slot held and no queue, the directive-less spec is turned
+// away with 429 although its result is cached, while the same spec with the
+// directive is still answered from the cache before admission.
+func TestDirectiveLessLoadIsAdmitted(t *testing.T) {
+	defer faultinject.LeakCheck(t)()
+	srv := New(Config{MaxConcurrent: 1, MaxQueue: -1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	withState := punt.Fig1().Text()
+	var stripped strings.Builder
+	for _, line := range strings.SplitAfter(withState, "\n") {
+		if !strings.HasPrefix(line, ".initial_state") {
+			stripped.WriteString(line)
+		}
+	}
+	resp, data := post(t, ts.Client(), ts.URL, Request{Spec: withState})
+	wantResult(t, resp, data)
+
+	release := slow.arm()
+	defer release()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		resp, data := post(t, ts.Client(), ts.URL, Request{Spec: punt.Handshake().Text(), Engine: slow.Name()})
+		wantResult(t, resp, data)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for slow.count.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+
+	resp, data = post(t, ts.Client(), ts.URL, Request{Spec: withState})
+	wantResult(t, resp, data)
+	resp, data = post(t, ts.Client(), ts.URL, Request{Spec: stripped.String()})
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("directive-less load with every slot taken: status %d, want 429: %s", resp.StatusCode, data)
+	}
+
+	release()
+	wg.Wait()
+	resp, data = post(t, ts.Client(), ts.URL, Request{Spec: stripped.String()})
+	wantResult(t, resp, data)
+	if st := srv.Stats(); st.WarmHits != 2 || st.Rejected != 1 {
+		t.Errorf("warm hits %d, rejected %d; want 2 and 1", st.WarmHits, st.Rejected)
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
