@@ -24,7 +24,8 @@
 // -max-queue deep wait queue; beyond that requests are answered 429 with a
 // Retry-After header), identical concurrent requests are deduplicated into a
 // single synthesis, and cache hits are answered before admission, so repeat
-// traffic is never queued.
+// traffic is never queued.  A spec without .initial_state is loaded under a
+// slot, because loading it builds its unfolding segment.
 //
 // On SIGINT/SIGTERM the daemon stops accepting requests, drains in-flight
 // syntheses and exits 0.

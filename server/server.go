@@ -19,7 +19,8 @@
 // concurrent identical requests into a single synthesis (single-flight), and
 // bounds cold work with a slot pool plus a bounded wait queue; beyond that it
 // rejects with 429 and a Retry-After header instead of queueing without
-// bound.  Every error response carries the CLI exit status the failure maps
+// bound.  Loading a spec without .initial_state builds its unfolding segment,
+// so it is cold work too: it takes a slot before the warm-hit lookup.  Every error response carries the CLI exit status the failure maps
 // to (see ErrorBody), so remote and local invocations are interchangeable.
 package server
 
@@ -50,7 +51,8 @@ type Config struct {
 	// for warm hits that survive restarts and span replicas.  nil selects a
 	// process-local punt.NewLRU(0).
 	Cache punt.Cache
-	// MaxConcurrent bounds how many syntheses run at once (0 = GOMAXPROCS).
+	// MaxConcurrent bounds how many syntheses, and loads of specs without
+	// .initial_state, run at once (0 = GOMAXPROCS).
 	MaxConcurrent int
 	// MaxQueue bounds how many admitted requests may wait for a slot before
 	// the server answers 429 (0 = 2×MaxConcurrent, negative = no queue).
