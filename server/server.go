@@ -316,7 +316,9 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 // segment while loading: that is engine work, so it waits for a synthesis
 // slot like a synthesis does, and MaxConcurrent bounds it.  A spec with the
 // directive loads before admission, so warm hits stay cheap.  A parse
-// failure is the request's fault (400); a segment that cannot be built fails
+// failure is the request's fault (400), though a malformed spec without the
+// directive is only parsed once it holds a slot, so under overload it gets
+// 429 first; a segment that cannot be built fails
 // the way its synthesis would (not safe, inconsistent, limit, or canceled
 // like a cancelled synthesis).
 func (s *Server) load(ctx context.Context, text string) (*punt.Spec, error) {
