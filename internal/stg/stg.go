@@ -91,6 +91,9 @@ type STG struct {
 	signals []Signal
 	byName  map[string]int
 	labels  []Label // indexed by petri.TransitionID
+	// edges[2s] and edges[2s+1] count the transitions of a+ and a- for
+	// signal s, so AddTransition numbers an instance in constant time.
+	edges []int32
 
 	initialState    bitvec.Vec
 	initialStateSet bool
@@ -113,6 +116,7 @@ func (g *STG) Clone() *STG {
 		signals:         append([]Signal(nil), g.signals...),
 		byName:          make(map[string]int, len(g.byName)),
 		labels:          append([]Label(nil), g.labels...),
+		edges:           append([]int32(nil), g.edges...),
 		initialStateSet: g.initialStateSet,
 	}
 	for name, i := range g.byName {
@@ -195,12 +199,16 @@ func (g *STG) AddTransition(signal int, dir Direction) petri.TransitionID {
 	if signal < 0 || signal >= len(g.signals) {
 		panic(fmt.Sprintf("stg: invalid signal index %d", signal))
 	}
-	inst := 1
-	for _, l := range g.labels {
-		if !l.IsDummy && l.Signal == signal && l.Dir == dir {
-			inst++
-		}
+	k := 2 * signal
+	if dir == Minus {
+		k++
 	}
+	if k >= len(g.edges) {
+		// Room for every signal declared so far, in one allocation.
+		g.edges = append(g.edges, make([]int32, max(k+1, 2*len(g.signals))-len(g.edges))...)
+	}
+	g.edges[k]++
+	inst := int(g.edges[k])
 	name := g.TransitionLabelString(Label{Signal: signal, Dir: dir, Instance: inst})
 	t := g.net.AddTransition(name)
 	g.labels = append(g.labels, Label{Signal: signal, Dir: dir, Instance: inst})

@@ -20,6 +20,7 @@ func BenchmarkUnfoldIncremental(b *testing.B) {
 	}{
 		{"pipeline-12", func() *stg.STG { return benchgen.MullerPipelineWithSignals(12) }},
 		{"pipeline-22", func() *stg.STG { return benchgen.MullerPipelineWithSignals(22) }},
+		{"pipeline-34", func() *stg.STG { return benchgen.MullerPipelineWithSignals(34) }},
 		{"pipeline-50", func() *stg.STG { return benchgen.MullerPipelineWithSignals(50) }},
 		{"counterflow", benchgen.CounterflowPipeline},
 		{"synthetic-24", func() *stg.STG { return benchgen.SyntheticController("synthetic-24", 24, 7) }},

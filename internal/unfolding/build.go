@@ -148,7 +148,7 @@ type builder struct {
 	// fingerprint verification inside each bucket.
 	seenPE map[uint64][]peFingerprint
 	// states maps hash(final marking, binary code) to the events reaching
-	// that state; bucket entries are verified with full marking/code
+	// that state; bucket entries are verified with full place-set/code
 	// equality, so a hash collision can never produce a wrong cut-off.
 	states map[uint64][]*Event
 	// placeConds[p] is the bit set of live condition IDs with place label p:
@@ -157,13 +157,18 @@ type builder struct {
 	// of rescanning per-place condition lists.
 	placeConds map[petri.PlaceID]*idSet
 	// co[c.ID] is the set of condition IDs concurrent with condition c.
-	co []*idSet
+	co []idSet
+	// condPlace[c.ID] is c.Place, kept dense for updateCo's safeness test.
+	condPlace []petri.PlaceID
+	// postPlaces marks the postset places of the event updateCo is adding;
+	// it is all zero between calls.
+	postPlaces bitvec.Vec
 
 	// cutSets[e.ID] / consumedSets[e.ID] hold, in bit-set form, the cut of
 	// [e] and the conditions consumed by [e].  They drive the incremental
 	// state engine and are discarded with the builder after construction.
-	cutSets      []*idSet
-	consumedSets []*idSet
+	cutSets      []idSet
+	consumedSets []idSet
 
 	// Codes are built relative to the initial code, so the root's code is
 	// all zero.  init is the initial code as far as it is known: known[a]
@@ -179,6 +184,7 @@ type builder struct {
 	// Scratch storage reused across instantiate/chooseCoset calls.
 	common idSet         // intersection of the preset co-sets
 	diff   idSet         // parentLocal \ dominant.Local in parentCodeOf
+	span   []uint64      // the words of an event's postset IDs, for updateCo
 	search searchScratch // per-recursion-depth scratch for chooseCoset
 }
 
@@ -202,6 +208,7 @@ func Build(ctx context.Context, g *stg.STG, opts Options) (*Unfolding, error) {
 		seenPE:     map[uint64][]peFingerprint{},
 		states:     map[uint64][]*Event{},
 		placeConds: map[petri.PlaceID]*idSet{},
+		postPlaces: bitvec.New(g.Net().NumPlaces()),
 	}
 	b.u = &Unfolding{STG: g, bySignal: make([][]*Event, g.NumSignals())}
 	derive := !g.HasInitialState()
@@ -262,12 +269,12 @@ func DeriveInitialState(ctx context.Context, g *stg.STG) error {
 
 func (b *builder) createRoot() error {
 	root := &Event{
-		ID:      0,
-		IsRoot:  true,
-		Local:   newIDSet(),
-		Size:    0,
-		Code:    bitvec.New(b.g.NumSignals()),
-		Marking: b.net.Initial(),
+		ID:     0,
+		IsRoot: true,
+		Local:  newIDSet(),
+		Size:   0,
+		Code:   bitvec.New(b.g.NumSignals()),
+		places: bitvec.New(b.net.NumPlaces()),
 	}
 	b.u.Root = root
 	b.u.Events = append(b.u.Events, root)
@@ -280,6 +287,7 @@ func (b *builder) createRoot() error {
 		c := b.newCondition(p, root)
 		root.Postset = append(root.Postset, c)
 		root.Cut = append(root.Cut, c)
+		root.places.Set(int(p), true)
 	}
 	// Initial conditions are pairwise concurrent.
 	for _, c1 := range root.Postset {
@@ -289,14 +297,14 @@ func (b *builder) createRoot() error {
 			}
 		}
 	}
-	rootCut := newIDSet()
+	var rootCut idSet
 	for _, c := range root.Postset {
 		rootCut.add(c.ID)
 	}
 	b.cutSets = append(b.cutSets, rootCut)
-	b.consumedSets = append(b.consumedSets, newIDSet())
+	b.consumedSets = append(b.consumedSets, idSet{})
 
-	b.putState(stateHash(root.Marking, root.Code), root)
+	b.putState(stateHash(root.places, root.Code), root)
 	for _, c := range root.Postset {
 		b.markLive(c)
 	}
@@ -309,7 +317,8 @@ func (b *builder) createRoot() error {
 func (b *builder) newCondition(p petri.PlaceID, producer *Event) *Condition {
 	c := &Condition{ID: len(b.u.Conditions), Place: p, Producer: producer}
 	b.u.Conditions = append(b.u.Conditions, c)
-	b.co = append(b.co, newIDSet())
+	b.co = append(b.co, idSet{})
+	b.condPlace = append(b.condPlace, p)
 	return c
 }
 
@@ -324,12 +333,11 @@ func (b *builder) markLive(c *Condition) {
 	s.add(c.ID)
 }
 
-// stateHash keys the cut-off detection table by final marking and binary code.
-func stateHash(m petri.Marking, code bitvec.Vec) uint64 {
+// stateHash keys the cut-off detection table by final marking, as a place
+// set, and binary code.
+func stateHash(places, code bitvec.Vec) uint64 {
 	const prime = 1099511628211
-	h := m.Hash()
-	h = (h ^ code.Hash()) * prime
-	return h
+	return (places.Hash() ^ code.Hash()) * prime
 }
 
 // putState records the event as the canonical representative of its final
@@ -341,9 +349,9 @@ func (b *builder) putState(h uint64, e *Event) {
 // lookupState returns the earlier event reaching the same final state, if
 // any.  Bucket entries are verified with full equality: hashing is a speed
 // optimisation, never a correctness shortcut.
-func (b *builder) lookupState(h uint64, m petri.Marking, code bitvec.Vec) *Event {
+func (b *builder) lookupState(h uint64, places, code bitvec.Vec) *Event {
 	for _, prior := range b.states[h] {
-		if prior.Code.Equal(code) && prior.Marking.Equal(m) {
+		if prior.Code.Equal(code) && prior.places.Equal(places) {
 			return prior
 		}
 	}
@@ -391,10 +399,22 @@ func (b *builder) cutOfConfig(set *idSet) []*Condition {
 	return cut
 }
 
+// markingOfCut is the marking of the original STG that a cut stands for.
+// Build keys states on place sets instead; this is the DebugCheck and test
+// oracle for them.
 func markingOfCut(cut []*Condition) petri.Marking {
 	m := petri.NewMarking()
 	for _, c := range cut {
 		m.Add(c.Place, 1)
+	}
+	return m
+}
+
+// markingOfPlaces is the marking with one token on each place of the set.
+func markingOfPlaces(places bitvec.Vec) petri.Marking {
+	m := petri.NewMarking()
+	for p := places.Next(0); p >= 0; p = places.Next(p + 1) {
+		m.Add(petri.PlaceID(p), 1)
 	}
 	return m
 }
@@ -437,18 +457,21 @@ func (b *builder) parentCodeOf(pe *possibleExtension) bitvec.Vec {
 //
 // which follows from cut(C) = produced(C) \ consumed(C) and the fact that
 // produced and consumed distribute over configuration union.
-func (b *builder) buildCutSets(pe *possibleExtension, e *Event) (cut, consumed *idSet) {
-	consumed = newIDSet()
-	cut = newIDSet()
+//
+// Both sets are sized once, in one allocation, for every condition so far.
+func (b *builder) buildCutSets(pe *possibleExtension, e *Event) (cut, consumed idSet) {
+	n := (len(b.u.Conditions) + 63) / 64
+	words := make([]uint64, 0, 2*n)
+	cut.words, consumed.words = words[:0:n], words[n:n:2*n]
 	for _, c := range pe.preset {
 		p := c.Producer
-		cut.orWith(b.cutSets[p.ID])
-		consumed.orWith(b.consumedSets[p.ID])
+		cut.orWith(&b.cutSets[p.ID])
+		consumed.orWith(&b.consumedSets[p.ID])
 	}
 	for _, c := range pe.preset {
 		consumed.add(c.ID)
 	}
-	cut.andNotWith(consumed)
+	cut.andNotWith(&consumed)
 	for _, c := range e.Postset {
 		cut.add(c.ID)
 	}
@@ -528,12 +551,12 @@ func (b *builder) newEventFor(pe *possibleExtension) (*Event, error) {
 		c.Consumers = append(c.Consumers, e)
 	}
 
-	// Create the postset conditions and leave the intersection of the preset
-	// co-sets in b.common for updateCo.
+	// Create the postset conditions, numbered consecutively, and leave the
+	// intersection of the preset co-sets in b.common for updateCo.
 	common := &b.common
-	common.copyFrom(b.co[pe.preset[0].ID])
+	common.copyFrom(&b.co[pe.preset[0].ID])
 	for _, c := range pe.preset[1:] {
-		common.andWith(b.co[c.ID])
+		common.andWith(&b.co[c.ID])
 	}
 	for _, p := range b.net.Post(pe.transition) {
 		c := b.newCondition(p, e)
@@ -544,37 +567,41 @@ func (b *builder) newEventFor(pe *possibleExtension) (*Event, error) {
 
 // updateCo extends the concurrency relation to the postset of e: co(c) for c
 // in e• is the intersection of the co-sets of the preset conditions, plus the
-// siblings in e•, so the forward rows are a word-level copy of b.common.  A
-// condition of the parent cut that stays concurrent with a same-place postset
-// condition would mean the place can hold two tokens at once: the net is not
-// safe.
+// siblings in e•, so the forward rows are a word-level copy of b.common.  The
+// postset IDs are one range, so every row of b.common gains them a word at a
+// time.  A condition of the parent cut that stays concurrent with a
+// same-place postset condition would mean the place can hold two tokens at
+// once: the net is not safe.
 func (b *builder) updateCo(pe *possibleExtension, e *Event) error {
+	if len(e.Postset) == 0 {
+		return nil
+	}
+	lo, hi := e.Postset[0].ID, e.Postset[len(e.Postset)-1].ID+1
+	b.span = rangeWords(b.span, lo, hi)
 	common := &b.common
 	for _, c := range e.Postset {
-		co := b.co[c.ID]
+		co := &b.co[c.ID]
+		co.ensure(hi - 1) // sized once: copyFrom and orAt stay within it
 		co.copyFrom(common)
-		for _, sib := range e.Postset {
-			if sib != c {
-				co.add(sib.ID)
-			}
-		}
+		co.orAt(lo/64, b.span)
+		co.remove(c.ID)
 	}
-	var unsafePlace petri.PlaceID
-	unsafe := false
+	for _, c := range e.Postset {
+		b.postPlaces.Set(int(c.Place), true)
+	}
+	unsafe := -1
 	common.forEach(func(otherID int) {
-		other := b.u.Conditions[otherID]
-		row := b.co[otherID]
-		for _, c := range e.Postset {
-			if other.Place == c.Place {
-				unsafe = true
-				unsafePlace = c.Place
-			}
-			row.add(c.ID)
+		if b.postPlaces.Get(int(b.condPlace[otherID])) {
+			unsafe = otherID
 		}
+		b.co[otherID].orAt(lo/64, b.span)
 	})
-	if unsafe {
+	for _, c := range e.Postset {
+		b.postPlaces.Set(int(c.Place), false)
+	}
+	if unsafe >= 0 {
 		return &UnsafeError{
-			Place:      b.net.PlaceName(unsafePlace),
+			Place:      b.net.PlaceName(b.u.Conditions[unsafe].Place),
 			Transition: b.g.TransitionString(pe.transition),
 			Tokens:     2,
 		}
@@ -582,29 +609,36 @@ func (b *builder) updateCo(pe *possibleExtension, e *Event) error {
 	return nil
 }
 
-// commitState records the event's final state (cut, marking, cut-off status),
-// derived incrementally from the preset producers, and, unless the event is a
-// cut-off, searches its postset for new possible extensions.
+// commitState records the event's final state (cut, place set, cut-off
+// status), derived incrementally from the preset producers, and, unless the
+// event is a cut-off, searches its postset for new possible extensions.
+// updateCo has run, so the net is safe up to e and the cut's places are
+// distinct: the place set is the whole final marking.
 func (b *builder) commitState(pe *possibleExtension, e *Event) error {
 	cutSet, consumedSet := b.buildCutSets(pe, e)
 	b.cutSets = append(b.cutSets, cutSet)
 	b.consumedSets = append(b.consumedSets, consumedSet)
 	cut := make([]*Condition, 0, cutSet.count())
-	cutSet.forEach(func(id int) { cut = append(cut, b.u.Conditions[id]) })
+	places := bitvec.New(b.net.NumPlaces())
+	cutSet.forEach(func(id int) {
+		c := b.u.Conditions[id]
+		cut = append(cut, c)
+		places.Set(int(c.Place), true)
+	})
 	e.Cut = cut
-	e.Marking = markingOfCut(cut)
+	e.places = places
 	if b.opts.DebugCheck {
 		replay := b.cutOfConfig(e.Local)
 		if !SameCut(e.Cut, replay) {
 			return fmt.Errorf("unfolding: internal error: incremental cut != replay cut at %s", b.u.EventName(e))
 		}
-		if replayM := markingOfCut(replay); !replayM.Equal(e.Marking) {
+		if !markingOfCut(replay).Equal(markingOfPlaces(places)) {
 			return fmt.Errorf("unfolding: internal error: incremental marking != replay marking at %s", b.u.EventName(e))
 		}
 	}
 
-	h := stateHash(e.Marking, e.Code)
-	if prior := b.lookupState(h, e.Marking, e.Code); prior != nil {
+	h := stateHash(places, e.Code)
+	if prior := b.lookupState(h, places, e.Code); prior != nil {
 		e.IsCutoff = true
 		e.Correspondent = prior
 		return nil // no extensions beyond a cut-off event
@@ -636,7 +670,7 @@ func (b *builder) findExtensionsWith(c *Condition) {
 			b.addPE(t, c, nil)
 			continue
 		}
-		b.chooseCoset(t, c, others, make([]*Condition, 0, len(others)), b.co[c.ID])
+		b.chooseCoset(t, c, others, make([]*Condition, 0, len(others)), &b.co[c.ID])
 	}
 }
 
@@ -672,7 +706,7 @@ func (b *builder) chooseCoset(t petri.TransitionID, c *Condition, remaining []pe
 		return
 	}
 	cands.forEach(func(id int) {
-		nextCo.intersectInto(coAcc, b.co[id])
+		nextCo.intersectInto(coAcc, &b.co[id])
 		b.chooseCoset(t, c, remaining[1:], append(chosen, b.u.Conditions[id]), nextCo)
 	})
 }

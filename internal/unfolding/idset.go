@@ -1,6 +1,9 @@
 package unfolding
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // idSet is a growable bit set over small non-negative integers (event or
 // condition IDs).  All binary operations work a word (64 IDs) at a time; the
@@ -12,16 +15,48 @@ type idSet struct {
 
 func newIDSet() *idSet { return &idSet{} }
 
+// ensure grows s so that it can hold i.  Growth goes through append, so a
+// set that keeps growing (a co-relation row gains every new condition
+// concurrent with it) reallocates a logarithmic number of times.  Words
+// exposed again after andWith shrank the set are zeroed.
 func (s *idSet) ensure(i int) {
 	w := i/64 + 1
-	for len(s.words) < w {
-		s.words = append(s.words, 0)
+	if n := len(s.words); n < w {
+		s.words = slices.Grow(s.words, w-n)[:w]
+		clear(s.words[n:])
 	}
 }
 
 func (s *idSet) add(i int) {
 	s.ensure(i)
 	s.words[i/64] |= 1 << uint(i%64)
+}
+
+// rangeWords returns, in buf's storage, the words of the set {lo, ...,
+// hi-1} from word lo/64 on: the operand of orAt(lo/64, ...).
+func rangeWords(buf []uint64, lo, hi int) []uint64 {
+	buf = buf[:0]
+	for lo < hi {
+		end := min(hi, (lo/64+1)*64)
+		buf = append(buf, ^uint64(0)>>(64-(end-lo))<<uint(lo%64))
+		lo = end
+	}
+	return buf
+}
+
+// orAt ORs into s the words of a set that starts at word w0, growing s at
+// most once.
+func (s *idSet) orAt(w0 int, words []uint64) {
+	s.ensure((w0+len(words))*64 - 1)
+	for i, w := range words {
+		s.words[w0+i] |= w
+	}
+}
+
+func (s *idSet) remove(i int) {
+	if i/64 < len(s.words) {
+		s.words[i/64] &^= 1 << uint(i%64)
+	}
 }
 
 func (s *idSet) has(i int) bool {
@@ -47,12 +82,10 @@ func (s *idSet) copyFrom(o *idSet) {
 
 // orWith adds every element of o to s.
 func (s *idSet) orWith(o *idSet) {
-	if o == nil {
+	if o == nil || len(o.words) == 0 {
 		return
 	}
-	for len(s.words) < len(o.words) {
-		s.words = append(s.words, 0)
-	}
+	s.ensure(len(o.words)*64 - 1)
 	for i, w := range o.words {
 		s.words[i] |= w
 	}

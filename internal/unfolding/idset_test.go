@@ -113,3 +113,39 @@ func TestIDSetRandomizedAgainstMap(t *testing.T) {
 		}
 	}
 }
+
+// TestIDSetOrRange checks rangeWords plus orAt, the co-relation update's
+// word-level form of adding an event's postset, against adding the IDs one
+// by one, for ranges that start, end and cross at word boundaries.
+func TestIDSetOrRange(t *testing.T) {
+	var buf []uint64
+	for _, lo := range []int{0, 1, 63, 64, 65, 127, 200} {
+		for n := 1; n <= 130; n++ {
+			got, want := setOf(5, 300), setOf(5, 300)
+			buf = rangeWords(buf, lo, lo+n)
+			got.orAt(lo/64, buf)
+			for i := lo; i < lo+n; i++ {
+				want.add(i)
+			}
+			if !got.equal(want) {
+				t.Fatalf("[%d,%d): got %v, want %v", lo, lo+n, elems(got), elems(want))
+			}
+		}
+	}
+}
+
+// TestIDSetRegrowZeroes checks that growing a set again after andWith shrank
+// it does not bring back the elements the shrink dropped.
+func TestIDSetRegrowZeroes(t *testing.T) {
+	s := setOf(1, 70, 130)
+	s.andWith(setOf(1))
+	s.ensure(200)
+	s.remove(1)
+	if !s.empty() {
+		t.Fatalf("regrown set holds %v, want nothing", elems(s))
+	}
+	s.add(199)
+	if want := setOf(199); !s.equal(want) {
+		t.Fatalf("got %v, want [199]", elems(s))
+	}
+}

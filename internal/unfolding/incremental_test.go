@@ -84,7 +84,9 @@ func TestParallelDebugCheck(t *testing.T) {
 // TestHashedCutoffMatchesStringKeyed verifies that the hash-keyed cut-off
 // detection reproduces the seed's string-keyed behaviour: replaying events in
 // instantiation order against a string-keyed (marking, code) table must mark
-// exactly the same events as cut-offs, with the same correspondents.
+// exactly the same events as cut-offs, with the same correspondents.  The
+// table's marking is derived from each event's cut, independently of the
+// place sets Build keys its own table on.
 func TestHashedCutoffMatchesStringKeyed(t *testing.T) {
 	for _, c := range incrementalSuite() {
 		u, err := Build(context.Background(), c.mk(), Options{})
@@ -93,7 +95,7 @@ func TestHashedCutoffMatchesStringKeyed(t *testing.T) {
 		}
 		states := map[string]*Event{}
 		for _, e := range u.Events {
-			key := e.Marking.Key() + "|" + e.Code.Key()
+			key := markingOfCut(e.Cut).Key() + "|" + e.Code.Key()
 			prior, seen := states[key]
 			if e.IsCutoff {
 				if !seen {
@@ -113,8 +115,9 @@ func TestHashedCutoffMatchesStringKeyed(t *testing.T) {
 	}
 }
 
-// TestCutBitsetsMatchCutSlices checks the bit-set form of every cut against
-// the materialised Cut slice and the marking derived from it.
+// TestCutBitsetsMatchCutSlices checks every event's Cut slice for order and
+// its place set, the cut-off key, against the cut's places: one place per
+// condition, no place missing, none extra.
 func TestCutBitsetsMatchCutSlices(t *testing.T) {
 	for _, c := range incrementalSuite() {
 		u, err := Build(context.Background(), c.mk(), Options{})
@@ -129,7 +132,15 @@ func TestCutBitsetsMatchCutSlices(t *testing.T) {
 				}
 				prev = cond.ID
 			}
-			if !markingOfCut(e.Cut).Equal(e.Marking) {
+			want := bitvec.New(u.STG.Net().NumPlaces())
+			for _, cond := range e.Cut {
+				want.Set(int(cond.Place), true)
+			}
+			if !want.Equal(e.places) || e.places.Count() != len(e.Cut) {
+				t.Fatalf("%s: place set %s of %s disagrees with its cut (places %s, %d conditions)",
+					c.name, e.places, u.EventName(e), want, len(e.Cut))
+			}
+			if !markingOfPlaces(e.places).Equal(markingOfCut(e.Cut)) {
 				t.Fatalf("%s: marking of %s disagrees with its cut", c.name, u.EventName(e))
 			}
 		}

@@ -10,6 +10,7 @@
 // processed in order of increasing local-configuration size and an event is a
 // cut-off when the state (final marking plus binary code) reached by its
 // local configuration has already been produced by a smaller configuration.
+// The net must be safe, so a final marking is a set of places.
 // Consistency of the state assignment is checked while codes are assigned;
 // boundedness is implied by the requirement that the underlying net is safe.
 //
@@ -18,11 +19,11 @@
 // Segment construction is the hot path of the whole system and the builder is
 // organised around three ideas:
 //
-//   - Incremental state.  An event's cut, marking and binary code are derived
-//     from its preset producers instead of replaying the local configuration:
-//     cut([e]) = (∪ cut([p])) \ (∪ consumed([p]) ∪ •e) ∪ e•, and the parent
-//     code starts from the dominant producer's code and applies only the
-//     toggles of the events the other producers add.  The original O(|[e]|)
+//   - Incremental state.  An event's cut, place set and binary code are
+//     derived from its preset producers instead of replaying the local
+//     configuration: cut([e]) = (∪ cut([p])) \ (∪ consumed([p]) ∪ •e) ∪ e•,
+//     and the parent code starts from the dominant producer's code and
+//     applies only the toggles of the events the other producers add.  The original O(|[e]|)
 //     replay is retained behind Options.DebugCheck and cross-validated by the
 //     tests.
 //
@@ -31,11 +32,21 @@
 //     intersection, union and difference run a word (64 IDs) at a time, and
 //     chooseCoset prunes its candidates by intersecting co-sets with the
 //     per-place live-condition sets instead of rescanning condition lists.
+//     An event's postset conditions get consecutive IDs, so the co-relation
+//     update ORs that range into each concurrent condition's row a word at a
+//     time, and tests safeness against a mask of the postset's places.
 //
-//   - Hashed state tables.  Cut-off detection keys (marking, code) pairs by a
-//     64-bit hash; bucket entries are verified with full equality, so a
-//     collision can never produce a wrong cut-off.  Possible-extension dedup
-//     uses the same scheme with exact fingerprints.
+//   - Hashed state tables.  Cut-off detection keys (place set, code) pairs
+//     by a 64-bit hash; the place set is a bit vector over the net's places,
+//     filled while the cut is walked.  Bucket entries are verified with full
+//     equality, so a collision can never produce a wrong cut-off.
+//     Possible-extension dedup uses the same scheme with exact fingerprints.
+//
+// The builder's memory is mostly the co-relation: one row per condition,
+// grown geometrically as concurrent conditions are added, C²/64 words at
+// most for C conditions.  Per event, the segment keeps the cut as a slice,
+// the code and the place set (P/64 words for P places), and the builder the
+// cut and consumed sets as bit sets; no per-event map.
 //
 // # Reading the segment
 //
@@ -89,12 +100,14 @@ type Event struct {
 	Size int
 	// Code is the binary code reached by firing the local configuration.
 	Code bitvec.Vec
-	// Marking is the final state Mark([e]): the marking of the original STG
-	// reached by firing the local configuration.
-	Marking petri.Marking
 	// Cut is the set of conditions marked after firing the local
-	// configuration (the minimal stable cut of the event).
+	// configuration (the minimal stable cut of the event).  The places of
+	// the cut, one token each, are the final state Mark([e]): the marking
+	// of the original STG reached by firing the local configuration.
 	Cut []*Condition
+	// places is Mark([e]) as a set over the net's places.  The net is safe,
+	// so the set is the whole marking; with Code it keys cut-off detection.
+	places bitvec.Vec
 
 	// IsCutoff marks cut-off events; Correspondent is the earlier event (or
 	// the root) reaching the same state.
