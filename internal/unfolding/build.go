@@ -157,9 +157,9 @@ type builder struct {
 	// of rescanning per-place condition lists.
 	placeConds map[petri.PlaceID]*idSet
 	// co[c.ID] is the set of condition IDs concurrent with condition c.
+	// Rows are held by value: a pointer to one is valid until the next
+	// newCondition.
 	co []idSet
-	// condPlace[c.ID] is c.Place, kept dense for updateCo's safeness test.
-	condPlace []petri.PlaceID
 	// postPlaces marks the postset places of the event updateCo is adding;
 	// it is all zero between calls.
 	postPlaces bitvec.Vec
@@ -318,7 +318,6 @@ func (b *builder) newCondition(p petri.PlaceID, producer *Event) *Condition {
 	c := &Condition{ID: len(b.u.Conditions), Place: p, Producer: producer}
 	b.u.Conditions = append(b.u.Conditions, c)
 	b.co = append(b.co, idSet{})
-	b.condPlace = append(b.condPlace, p)
 	return c
 }
 
@@ -591,7 +590,7 @@ func (b *builder) updateCo(pe *possibleExtension, e *Event) error {
 	}
 	unsafe := -1
 	common.forEach(func(otherID int) {
-		if b.postPlaces.Get(int(b.condPlace[otherID])) {
+		if b.postPlaces.Get(int(b.u.Conditions[otherID].Place)) {
 			unsafe = otherID
 		}
 		b.co[otherID].orAt(lo/64, b.span)

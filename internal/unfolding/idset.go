@@ -47,6 +47,9 @@ func rangeWords(buf []uint64, lo, hi int) []uint64 {
 // orAt ORs into s the words of a set that starts at word w0, growing s at
 // most once.
 func (s *idSet) orAt(w0 int, words []uint64) {
+	if len(words) == 0 {
+		return
+	}
 	s.ensure((w0+len(words))*64 - 1)
 	for i, w := range words {
 		s.words[w0+i] |= w
@@ -82,12 +85,8 @@ func (s *idSet) copyFrom(o *idSet) {
 
 // orWith adds every element of o to s.
 func (s *idSet) orWith(o *idSet) {
-	if o == nil || len(o.words) == 0 {
-		return
-	}
-	s.ensure(len(o.words)*64 - 1)
-	for i, w := range o.words {
-		s.words[i] |= w
+	if o != nil {
+		s.orAt(0, o.words)
 	}
 }
 
